@@ -25,6 +25,11 @@
 //! * `exemeta` — per-executable id + arch, decodable without touching
 //!   any `exe:<i>` payload (written by v2 indexes; enables lazy loads);
 //! * `exe:<i>` — the i-th [`ExecutableRep`];
+//! * `query:<package>:<arch>` — a prebuilt CVE query ([`QueryRecord`]),
+//!   written by `firmup index` (v2 only, omitted when none were built);
+//!   a cache of a pure function of its inputs, so an absent, stale or
+//!   damaged one costs a rebuild, never an answer (ARCHITECTURE.md
+//!   §4.11);
 //! * `context` — the [`GlobalContext`] document frequencies;
 //! * `intern` — the corpus [`StrandInterner`] hash list, varint-delta
 //!   compressed (written by v2 indexes; readers without it rebuild the
@@ -67,7 +72,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use firmup_firmware::crc::crc32;
-use firmup_firmware::durable::write_atomic;
+use firmup_firmware::durable::{fnv1a_64, write_atomic};
 use firmup_firmware::index::{
     append_journal, index_path, journal_path, manifest_path, parse_journal, push_varint,
     read_container, read_manifest, read_table, read_varint, record_bytes, segment_file_name,
@@ -108,6 +113,44 @@ struct LazyExe {
     blob: usize,
     table: Option<TableEntry>,
 }
+
+/// One persisted query record's payload: held as bytes (built in memory
+/// or read eagerly) or as a table entry into the lazily loaded base blob,
+/// and decoded only when a scan asks for it.
+#[derive(Debug, Clone)]
+enum QueryBytes {
+    Owned(Vec<u8>),
+    Mapped(TableEntry),
+}
+
+/// A prebuilt CVE query executable as persisted in a
+/// `query:<package>:<arch>` record: the digest of the build's inputs
+/// (see ARCHITECTURE.md §4.11 — the caller defines and checks it), the
+/// query version string, and the canonicalized rep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryRecord {
+    /// Digest of every input the build consumed.
+    pub digest: u64,
+    /// Package version the query was compiled from.
+    pub version: String,
+    /// The compiled, lifted, canonicalized query executable.
+    pub rep: ExecutableRep,
+}
+
+/// The container record name of the query for (`package`, `arch`).
+pub fn query_record_name(package: &str, arch: Arch) -> String {
+    format!("{QUERY_PREFIX}{package}:{}", arch.name())
+}
+
+/// Split a `query:<package>:<arch>` record name back into its key.
+/// `None` for any other name or an unknown arch.
+pub fn parse_query_record_name(name: &str) -> Option<(&str, Arch)> {
+    let (package, arch) = name.strip_prefix(QUERY_PREFIX)?.rsplit_once(':')?;
+    let arch = Arch::all().into_iter().find(|a| a.name() == arch)?;
+    Some((package, arch))
+}
+
+const QUERY_PREFIX: &str = "query:";
 
 /// A persisted (or persistable) scan corpus: canonicalized executables
 /// plus the derived search structures.
@@ -150,6 +193,9 @@ pub struct CorpusIndex {
     /// plus any live segments unioned at open). Empty for indexes that
     /// predate incremental ingestion.
     seals: Vec<u64>,
+    /// Persisted query records, sorted by name. Carried through
+    /// load → save untouched; never derived from the executables.
+    queries: Vec<(String, QueryBytes)>,
     /// Manifest epoch observed at open (0 when no manifest exists).
     seg_epoch: u64,
     /// Live (unsealed) segments unioned at open.
@@ -200,6 +246,7 @@ impl CorpusIndex {
             postings,
             interner,
             seals: Vec::new(),
+            queries: Vec::new(),
             seg_epoch: 0,
             seg_count: 0,
         }
@@ -219,6 +266,51 @@ impl CorpusIndex {
     /// empty so pre-incremental blobs stay byte-identical.
     pub fn set_seals(&mut self, seals: Vec<u64>) {
         self.seals = seals;
+    }
+
+    /// Names of the persisted `query:<package>:<arch>` records, sorted.
+    pub fn query_names(&self) -> impl Iterator<Item = &str> {
+        self.queries.iter().map(|(n, _)| n.as_str())
+    }
+
+    /// Decode the persisted query record `name`; `None` when the index
+    /// carries no such record. Lazily held records are read (and their
+    /// container CRC verified) here, on first use.
+    ///
+    /// # Errors
+    ///
+    /// A damaged record — CRC mismatch, truncated range, or a payload
+    /// failing [`decode_query_record`] — is the structured [`IndexError`].
+    pub fn query(&self, name: &str) -> Option<Result<QueryRecord, IndexError>> {
+        let i = self
+            .queries
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()?;
+        Some(
+            self.query_payload(&self.queries[i].1)
+                .and_then(decode_query_record),
+        )
+    }
+
+    /// Insert (or replace) the query record `name`. Written into the
+    /// container by [`CorpusIndex::to_bytes`]; [`CorpusIndex::build`]
+    /// never adds any.
+    pub fn set_query(&mut self, name: String, record: &QueryRecord) {
+        let bytes = QueryBytes::Owned(encode_query_record(record));
+        match self.queries.binary_search_by(|(n, _)| n.cmp(&name)) {
+            Ok(i) => self.queries[i].1 = bytes,
+            Err(i) => self.queries.insert(i, (name, bytes)),
+        }
+    }
+
+    fn query_payload<'a>(&'a self, bytes: &'a QueryBytes) -> Result<&'a [u8], IndexError> {
+        match (bytes, &self.store) {
+            (QueryBytes::Owned(b), _) => Ok(b),
+            (QueryBytes::Mapped(t), RepStore::Lazy { blobs, .. }) => record_bytes(&blobs[0], t),
+            (QueryBytes::Mapped(_), RepStore::Eager(_)) => {
+                Err(malformed("mapped query record without a blob"))
+            }
+        }
     }
 
     /// Manifest epoch observed when this index was opened (0 when the
@@ -418,6 +510,15 @@ impl CorpusIndex {
                 encode_executable(self.get(i)),
             ));
         }
+        if v2 {
+            // A lazily held record whose bytes no longer verify is
+            // dropped: readers rebuild an absent query anyway.
+            for (name, bytes) in &self.queries {
+                if let Ok(payload) = self.query_payload(bytes) {
+                    records.push(Record::new(name.clone(), payload.to_vec()));
+                }
+            }
+        }
         records.push(Record::new("context", encode_context(&self.context)));
         if v2 {
             records.push(Record::new("intern", encode_interner(&self.interner)));
@@ -467,7 +568,8 @@ impl CorpusIndex {
         let mut postings: Option<StrandPostings> = None;
         let mut intern: Option<Vec<u64>> = None;
         let mut seals: Vec<u64> = Vec::new();
-        for r in &records {
+        let mut queries: Vec<(String, QueryBytes)> = Vec::new();
+        for r in records {
             if r.name == "meta" {
                 let mut pos = 0;
                 count = Some(get_u32(&r.payload, &mut pos, "meta record")?);
@@ -487,10 +589,13 @@ impl CorpusIndex {
                 postings = Some(decode_postings(&r.payload)?);
             } else if r.name == "postings2" {
                 postings = Some(decode_postings2(&r.payload)?);
+            } else if r.name.starts_with(QUERY_PREFIX) {
+                queries.push((r.name, QueryBytes::Owned(r.payload)));
             }
             // Unknown record names (including exemeta, which the eager
             // path has no use for) are additive extensions: skip.
         }
+        queries.sort_by(|a, b| a.0.cmp(&b.0));
         let count = count.ok_or_else(|| malformed("missing meta record"))? as usize;
         if exes.len() != count {
             return Err(malformed(&format!(
@@ -516,6 +621,7 @@ impl CorpusIndex {
             postings,
             interner,
             seals,
+            queries,
             seg_epoch: 0,
             seg_count: 0,
         })
@@ -547,6 +653,7 @@ impl CorpusIndex {
         let mut intern: Option<Vec<u64>> = None;
         let mut exe_tables: Vec<Option<TableEntry>> = Vec::new();
         let mut seals: Vec<u64> = Vec::new();
+        let mut queries: Vec<(String, QueryBytes)> = Vec::new();
         for e in &table {
             if e.name == "meta" {
                 let payload = record_bytes(&blob, e)?;
@@ -570,8 +677,11 @@ impl CorpusIndex {
                 postings = Some(decode_postings(record_bytes(&blob, e)?)?);
             } else if e.name == "postings2" {
                 postings = Some(decode_postings2(record_bytes(&blob, e)?)?);
+            } else if e.name.starts_with(QUERY_PREFIX) {
+                queries.push((e.name.clone(), QueryBytes::Mapped(e.clone())));
             }
         }
+        queries.sort_by(|a, b| a.0.cmp(&b.0));
         let count = count.ok_or_else(|| malformed("missing meta record"))? as usize;
         let identities =
             identities.ok_or_else(|| malformed("v2 container missing exemeta record"))?;
@@ -612,6 +722,7 @@ impl CorpusIndex {
             postings,
             interner,
             seals,
+            queries,
             seg_epoch: 0,
             seg_count: 0,
         })
@@ -1311,38 +1422,43 @@ fn encode_executable(exe: &ExecutableRep) -> Vec<u8> {
 }
 
 fn decode_executable(b: &[u8]) -> Result<ExecutableRep, IndexError> {
-    let mut pos = 0;
-    let id = get_str(b, &mut pos, "executable id")?;
-    let machine = get_u32(b, &mut pos, "executable arch")?;
+    decode_executable_at(b, &mut 0)
+}
+
+/// Decode one [`ExecutableRep`] starting at `*pos`, leaving `*pos` just
+/// past it (so an enclosing payload can check nothing trails it).
+fn decode_executable_at(b: &[u8], pos: &mut usize) -> Result<ExecutableRep, IndexError> {
+    let id = get_str(b, pos, "executable id")?;
+    let machine = get_u32(b, pos, "executable arch")?;
     let machine = u16::try_from(machine).map_err(|_| malformed("arch tag out of range"))?;
     let arch = Arch::from_elf_machine(machine)
         .ok_or_else(|| malformed(&format!("unknown arch tag {machine}")))?;
-    let nprocs = get_u32(b, &mut pos, "procedure count")? as usize;
+    let nprocs = get_u32(b, pos, "procedure count")? as usize;
     if nprocs > b.len() {
         return Err(malformed("procedure count out of range"));
     }
     let mut procedures = Vec::with_capacity(nprocs);
     for _ in 0..nprocs {
-        let addr = get_u32(b, &mut pos, "procedure addr")?;
+        let addr = get_u32(b, pos, "procedure addr")?;
         let has_name = b
-            .get(pos)
+            .get(*pos)
             .copied()
             .ok_or_else(|| malformed("procedure name tag: payload too short"))?;
-        pos += 1;
+        *pos += 1;
         let name = match has_name {
             0 => None,
-            1 => Some(get_str(b, &mut pos, "procedure name")?),
+            1 => Some(get_str(b, pos, "procedure name")?),
             _ => return Err(malformed("bad procedure name tag")),
         };
-        let block_count = get_u32(b, &mut pos, "procedure blocks")? as usize;
-        let size = get_u32(b, &mut pos, "procedure size")?;
-        let nstrands = get_u32(b, &mut pos, "strand count")? as usize;
+        let block_count = get_u32(b, pos, "procedure blocks")? as usize;
+        let size = get_u32(b, pos, "procedure size")?;
+        let nstrands = get_u32(b, pos, "strand count")? as usize;
         if nstrands.saturating_mul(8) > b.len() {
             return Err(malformed("strand count out of range"));
         }
         let mut strands = Vec::with_capacity(nstrands);
         for _ in 0..nstrands {
-            strands.push(get_u64(b, &mut pos, "strand hash")?);
+            strands.push(get_u64(b, pos, "strand hash")?);
         }
         // The whole pipeline (Sim's merge walk, the game's pruning)
         // assumes sorted, deduplicated strand vectors; enforce the
@@ -1363,6 +1479,55 @@ fn decode_executable(b: &[u8]) -> Result<ExecutableRep, IndexError> {
         id,
         arch,
         procedures,
+    })
+}
+
+// ---- query records -------------------------------------------------------
+//
+// `query:<package>:<arch>`: input digest (u64), version (str), the query
+// rep (ExecutableRep layout), then an FNV-1a 64 checksum of everything
+// before it. The container CRC catches torn or flipped bytes on disk;
+// the inner checksum makes the record self-verifying, so even a payload
+// rewritten under a fresh CRC can only ever be rejected (and rebuilt),
+// never decoded into a different query.
+
+/// Serialize a [`QueryRecord`] as a `query:*` record payload.
+pub fn encode_query_record(q: &QueryRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u64(&mut out, q.digest);
+    put_str(&mut out, &q.version);
+    out.extend_from_slice(&encode_executable(&q.rep));
+    let check = fnv1a_64(&[&out]);
+    put_u64(&mut out, check);
+    out
+}
+
+/// Decode a `query:*` record payload.
+///
+/// # Errors
+///
+/// [`IndexError::Malformed`] when the checksum fails, a field does not
+/// decode, or bytes trail the rep.
+pub fn decode_query_record(b: &[u8]) -> Result<QueryRecord, IndexError> {
+    let split = b
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| malformed("query record: payload too short"))?;
+    let (body, check) = b.split_at(split);
+    if fnv1a_64(&[body]).to_le_bytes() != check {
+        return Err(malformed("query record checksum mismatch"));
+    }
+    let mut pos = 0;
+    let digest = get_u64(body, &mut pos, "query digest")?;
+    let version = get_str(body, &mut pos, "query version")?;
+    let rep = decode_executable_at(body, &mut pos)?;
+    if pos != body.len() {
+        return Err(malformed("query record: trailing bytes"));
+    }
+    Ok(QueryRecord {
+        digest,
+        version,
+        rep,
     })
 }
 
@@ -2064,6 +2229,59 @@ mod tests {
         assert_eq!(lazy.to_bytes(), sealed);
         // Old-style readers skip the record; the reps still load.
         assert_eq!(reps_of(&eager), reps_of(&index));
+    }
+
+    #[test]
+    fn query_records_roundtrip_on_both_paths_and_stay_out_of_v1() {
+        let mut index = sample();
+        let plain = index.to_bytes();
+        let q = QueryRecord {
+            digest: 0xfeed,
+            version: "1.2".into(),
+            rep: exe("query", &[&[4, 8], &[15]]),
+        };
+        let name = query_record_name("wget", Arch::Mips32);
+        assert_eq!(parse_query_record_name(&name), Some(("wget", Arch::Mips32)));
+        assert_eq!(parse_query_record_name("query:wget:vax"), None);
+        index.set_query(name.clone(), &q);
+        let blob = index.to_bytes();
+        // The record sits between the executables and `context`, so the
+        // container's tail (postings2) is where it always was.
+        let names: Vec<String> = read_container(&blob)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
+        let at = names.iter().position(|n| *n == name).unwrap();
+        assert_eq!(names[at - 1], "exe:2");
+        assert_eq!(names[at + 1], "context");
+        for loaded in [
+            CorpusIndex::from_bytes(&blob).unwrap(),
+            CorpusIndex::from_bytes_lazy(blob.clone()).unwrap(),
+        ] {
+            assert_eq!(loaded.query_names().collect::<Vec<_>>(), [name.as_str()]);
+            assert_eq!(loaded.query(&name).unwrap().unwrap(), q);
+            assert!(loaded.query("query:dbus:x86").is_none());
+            // load → save carries the record forward byte for byte.
+            loaded.ensure_all().unwrap();
+            assert_eq!(loaded.to_bytes(), blob);
+            assert_eq!(reps_of(&loaded), reps_of(&index));
+        }
+        // v1 never carries query records: the v1 blob of an index with
+        // and without them is the same.
+        assert_eq!(index.to_bytes_v1(), sample().to_bytes_v1());
+        assert_ne!(plain, blob);
+        // Every truncation and every single-byte flip of the payload is
+        // rejected by the record's own checksum.
+        let payload = encode_query_record(&q);
+        for cut in 0..payload.len() {
+            assert!(decode_query_record(&payload[..cut]).is_err(), "cut {cut}");
+        }
+        for i in 0..payload.len() {
+            let mut p = payload.clone();
+            p[i] ^= 0x55;
+            assert!(decode_query_record(&p).is_err(), "flip {i}");
+        }
     }
 
     /// Build the on-disk shape `index --add` leaves behind: a base

@@ -579,6 +579,47 @@ pub fn try_build_query(
     package_name: &str,
     arch: Arch,
 ) -> Result<(firmup_obj::Elf, String), crate::packages::PackageError> {
+    let q = query_source(package_name)?;
+    Ok((q.compile(arch), q.version.to_string()))
+}
+
+/// Everything a CVE query build consumes besides the target arch: the
+/// query version, its generated MinC source, and the compiler options.
+/// Persisted query records are keyed by a digest of exactly these
+/// inputs (plus the arch and canonicalization config).
+#[derive(Debug, Clone)]
+pub struct QuerySource {
+    /// Package name.
+    pub package: &'static str,
+    /// The latest version vulnerable to something (the query version).
+    pub version: &'static str,
+    /// Full MinC source of that version, no features disabled, no filler.
+    pub source: String,
+    /// Compiler options the query is built with.
+    pub options: CompilerOptions,
+}
+
+impl QuerySource {
+    /// Compile the query for `arch`.
+    ///
+    /// # Panics
+    ///
+    /// On a compile failure of a known package — an internal corpus bug
+    /// the package tests rule out, not an input condition.
+    pub fn compile(&self, arch: Arch) -> firmup_obj::Elf {
+        compile_source(&self.source, arch, &self.options)
+            .unwrap_or_else(|e| panic!("query build {} on {arch}: {e}", self.package))
+    }
+}
+
+/// Generate the inputs of a query build for `package_name` (cheap: no
+/// compilation).
+///
+/// # Errors
+///
+/// [`crate::packages::PackageError`] for unknown packages or a
+/// versionless spec.
+pub fn query_source(package_name: &str) -> Result<QuerySource, crate::packages::PackageError> {
     let pkg = crate::packages::package(package_name)
         .ok_or_else(|| crate::packages::PackageError::UnknownPackage(package_name.to_string()))?;
     // Latest version that is vulnerable to *something*.
@@ -590,10 +631,12 @@ pub fn try_build_query(
         .or_else(|| pkg.latest())
         .ok_or_else(|| crate::packages::PackageError::NoVersions(package_name.to_string()))?
         .version;
-    let src = crate::packages::try_source_for(pkg.name, version, &[], 0, 0)?;
-    let elf = compile_source(&src, arch, &CompilerOptions::default())
-        .unwrap_or_else(|e| panic!("query build {package_name} on {arch}: {e}"));
-    Ok((elf, version.to_string()))
+    Ok(QuerySource {
+        package: pkg.name,
+        version,
+        source: crate::packages::try_source_for(pkg.name, version, &[], 0, 0)?,
+        options: CompilerOptions::default(),
+    })
 }
 
 #[cfg(test)]

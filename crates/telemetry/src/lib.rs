@@ -133,7 +133,7 @@ fn registry() -> &'static Registry {
 static METRIC_LOOKUPS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of metric-registry name resolutions so far (see
-/// [`METRIC_LOOKUPS`]'s invariant). Monotonic; not cleared by
+/// `METRIC_LOOKUPS`'s invariant). Monotonic; not cleared by
 /// [`reset`].
 pub fn registry_lookups() -> u64 {
     METRIC_LOOKUPS.load(Ordering::Relaxed)

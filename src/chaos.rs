@@ -24,7 +24,12 @@ use firmup_core::sim::{index_elf, ExecutableRep};
 use firmup_firmware::corpus::{generate, CorpusConfig};
 use firmup_firmware::faultinject::{corrupt, CorruptOp};
 use firmup_firmware::image::unpack;
+use firmup_firmware::packages::all_cves;
 use firmup_obj::Elf;
+
+use crate::pipeline::{
+    build_queries, query_keys, run_scan, store_queries, QueryCache, ScanOptions,
+};
 
 /// Chaos run parameters.
 #[derive(Debug, Clone)]
@@ -99,7 +104,8 @@ impl OpReport {
 /// eager and the lazy read path.
 #[derive(Debug, Clone)]
 pub struct RecordTrial {
-    /// Record attacked (`intern` or `postings2`).
+    /// Record attacked (`intern`, `postings2`, or `query` — one
+    /// `query:<package>:<arch>` record).
     pub record: &'static str,
     /// Mutation applied (`truncated`, `bitflip`, `zero-delta`, ...).
     pub mutation: &'static str,
@@ -117,15 +123,21 @@ pub struct RecordTrial {
     pub lazy_ok: bool,
     /// Panics contained by the stage guard — any nonzero value is a bug.
     pub panics: u64,
+    /// `query` trials only: whether both loaders accepted the blob and a
+    /// scan of each rebuilt the damaged query (`queries_built > 0`) and
+    /// rendered the pristine findings bytes. `None` for other records.
+    pub fallback_matches: Option<bool>,
 }
 
 impl RecordTrial {
-    /// The invariant: no panic, no eager/lazy divergence, and a
-    /// guaranteed-malformed payload rejected on both paths.
+    /// The invariant: no panic, no eager/lazy divergence, a
+    /// guaranteed-malformed payload rejected on both paths, and a
+    /// damaged query record costing a rebuild, never an answer.
     pub fn passed(&self) -> bool {
         self.panics == 0
             && !(self.eager_rejected && self.lazy_ok)
             && (!self.must_reject || (self.eager_rejected && self.lazy_rejected))
+            && self.fallback_matches != Some(false)
     }
 }
 
@@ -299,7 +311,11 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     }
     let record_trials = index_blobs
         .first()
-        .map(|blob| run_record_trials(blob))
+        .map(|blob| {
+            let mut trials = run_record_trials(blob);
+            trials.extend(run_query_trials(blob));
+            trials
+        })
         .unwrap_or_default();
     ChaosReport {
         seed: config.seed,
@@ -405,8 +421,98 @@ fn run_record_trials(pristine: &[u8]) -> Vec<RecordTrial> {
                 lazy_rejected,
                 lazy_ok,
                 panics,
+                fallback_matches: None,
             });
         }
+    }
+    trials
+}
+
+/// Targeted corruption of one `query:<package>:<arch>` record, with
+/// valid container CRCs: truncation and a mid-payload bitflip. Both
+/// loaders must accept the blob (a query record is a cache, not corpus
+/// state), and a scan on either must rebuild the query and render the
+/// same findings bytes as the pristine index.
+fn run_query_trials(pristine: &[u8]) -> Vec<RecordTrial> {
+    use firmup_firmware::index::{read_container, write_container_v2};
+    let Ok(mut index) = CorpusIndex::from_bytes(pristine) else {
+        return Vec::new();
+    };
+    // One CVE, with its package's query for every arch the corpus holds
+    // — everything that scan asks for.
+    let cve = all_cves()[0];
+    let archs: Vec<_> = (0..index.len()).map(|i| index.exe_arch(i)).collect();
+    let keys: Vec<_> = query_keys()
+        .into_iter()
+        .filter(|&(p, a)| p == cve.package && archs.contains(&a))
+        .collect();
+    let built = build_queries(&keys, 1);
+    store_queries(&mut index, &keys, built);
+    let blob = index.to_bytes();
+    let opts = ScanOptions {
+        cve: Some(cve.cve.to_string()),
+        ..ScanOptions::default()
+    };
+    let scan = |index: &CorpusIndex| {
+        run_scan(
+            index,
+            &opts,
+            &ScanBudget::unlimited(),
+            &QueryCache::default(),
+            &|| false,
+        )
+        .map(|out| (out.render_json(false).render(), out.queries_built))
+    };
+    let pristine_scan = isolate(FaultCtx::image("chaos-query"), || {
+        scan(&CorpusIndex::from_bytes(&blob)?)
+    });
+    let (Ok(records), Ok((want, 0))) = (read_container(&blob), pristine_scan) else {
+        return Vec::new();
+    };
+    let Some(target) = records.iter().position(|r| r.name.starts_with("query:")) else {
+        return Vec::new();
+    };
+    let orig = &records[target].payload;
+    let cases: [(&'static str, Vec<u8>); 2] = [
+        ("truncated", orig[..orig.len() / 2].to_vec()),
+        ("bitflip", {
+            let mut p = orig.clone();
+            let mid = p.len() / 2;
+            p[mid] ^= 0x55;
+            p
+        }),
+    ];
+    let mut trials = Vec::new();
+    for (mutation, payload) in cases {
+        let mut damaged = records.clone();
+        damaged[target].payload = payload;
+        let blob = write_container_v2(&damaged);
+        let tag = format!("chaos-record[query:{mutation}]");
+        let scanned = |index: CorpusIndex| {
+            let (got, built) = scan(&index)?;
+            Ok(got == want && built > 0)
+        };
+        let eager = isolate(FaultCtx::image(&tag), || {
+            scanned(CorpusIndex::from_bytes(&blob)?)
+        });
+        let lazy = isolate(FaultCtx::image(&tag), || {
+            scanned(CorpusIndex::from_bytes_lazy(blob.clone())?)
+        });
+        let panics = [&eager, &lazy]
+            .iter()
+            .filter(|r| matches!(r, Err(e) if e.is_poisoned()))
+            .count() as u64;
+        trials.push(RecordTrial {
+            record: "query",
+            mutation,
+            must_reject: false,
+            eager_rejected: matches!(&eager, Err(e) if !e.is_poisoned()),
+            eager_ok: eager.is_ok(),
+            lazy_rejected: matches!(&lazy, Err(e) if !e.is_poisoned()),
+            lazy_ok: lazy.is_ok(),
+            panics,
+            fallback_matches: Some(matches!((eager, lazy), (Ok(true), Ok(true)))),
+        });
     }
     trials
 }

@@ -29,7 +29,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use firmup_core::error::{FaultCtx, FirmUpError};
-use firmup_core::persist::{segment_from_bytes, CorpusIndex, IndexCheckpoint};
+use firmup_core::persist::{
+    parse_query_record_name, query_record_name, segment_from_bytes, CorpusIndex, IndexCheckpoint,
+};
 use firmup_firmware::crc::crc32;
 use firmup_firmware::durable::{acquire_lock, is_tmp_debris, write_atomic, LockOptions};
 use firmup_firmware::index::{
@@ -37,6 +39,9 @@ use firmup_firmware::index::{
     scan_container, scan_manifest, segments_dir, write_manifest, JournalEntry, Manifest,
     RecordStatus,
 };
+use firmup_isa::Arch;
+
+use crate::pipeline::{build_queries, persisted_query, query_keys, store_queries, QueryRecordMiss};
 
 /// Subdirectory damaged segments are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -64,6 +69,10 @@ pub enum Verdict {
     Missing,
     /// Present but unreferenced (warning, not damage).
     Orphan,
+    /// Intact but built from other inputs than today's (a `query:*`
+    /// record whose digest no longer matches): a warning, not damage —
+    /// scans rebuild the query, and `--repair` rewrites the record.
+    Stale,
     /// Was damaged or missing; rebuilt by `--repair`.
     Repaired,
 }
@@ -75,6 +84,7 @@ impl Verdict {
             Verdict::Damaged => "DAMAGED",
             Verdict::Missing => "MISSING",
             Verdict::Orphan => "orphan",
+            Verdict::Stale => "stale",
             Verdict::Repaired => "repaired",
         }
     }
@@ -517,6 +527,11 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
             Ok(checks) => {
                 let mut damaged = 0usize;
                 for c in &checks {
+                    // An intact query record gets its verdict from the
+                    // typed check below (ok / damaged / stale).
+                    if c.status == RecordStatus::Ok && parse_query_record_name(&c.name).is_some() {
+                        continue;
+                    }
                     let verdict = match c.status {
                         RecordStatus::Ok => Verdict::Ok,
                         _ => {
@@ -533,7 +548,10 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
                 }
                 if damaged == 0 {
                     match CorpusIndex::from_bytes(&blob) {
-                        Ok(_) => fui_ok = true,
+                        Ok(index) => {
+                            fui_ok = true;
+                            check_queries(dir, index, opts, &mut report)?;
+                        }
                         Err(e) => report.push("corpus.fui", Verdict::Damaged, e.to_string()),
                     }
                 }
@@ -558,6 +576,9 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
             // digests and clear the manifest — otherwise readers would
             // union the still-live entries in twice.
             rebuilt.set_seals(valid.iter().map(|e| e.digest).collect());
+            let keys = query_keys();
+            let built = build_queries(&keys, opts.threads);
+            store_queries(&mut rebuilt, &keys, built);
             rebuilt.save(dir)?;
             report.push("corpus.fui", Verdict::Repaired, "rebuilt from segments");
             if manifest_bytes.is_some() {
@@ -587,6 +608,67 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
         }
     }
     Ok(report)
+}
+
+/// Give every `query:*` record of the decoded `corpus.fui` its verdict —
+/// ok, damaged (the payload fails its checksum or layout) or stale (its
+/// digest no longer matches today's build inputs) — and with
+/// [`FsckOptions::repair`] rebuild the condemned ones through
+/// [`build_queries`] and rewrite `corpus.fui`.
+fn check_queries(
+    dir: &Path,
+    mut index: CorpusIndex,
+    opts: &FsckOptions,
+    report: &mut FsckReport,
+) -> Result<(), FirmUpError> {
+    let mut condemned: Vec<(String, Arch)> = Vec::new();
+    for name in index.query_names() {
+        let what = format!("corpus.fui record {name}");
+        let Some((package, arch)) = parse_query_record_name(name) else {
+            continue;
+        };
+        match persisted_query(&index, package, arch) {
+            Ok(q) => report.push(what, Verdict::Ok, format!("query {package} {}", q.version)),
+            Err(QueryRecordMiss::Stale) => {
+                report.push(
+                    what,
+                    Verdict::Stale,
+                    "stale digest: built from other inputs; scans rebuild it",
+                );
+                condemned.push((package.to_string(), arch));
+            }
+            Err(QueryRecordMiss::Damaged(e)) => {
+                report.push(what, Verdict::Damaged, e.to_string());
+                condemned.push((package.to_string(), arch));
+            }
+            Err(QueryRecordMiss::Absent) => {}
+        }
+    }
+    if !opts.repair || condemned.is_empty() {
+        return Ok(());
+    }
+    let keys: Vec<(&str, Arch)> = condemned.iter().map(|(p, a)| (p.as_str(), *a)).collect();
+    let built = build_queries(&keys, opts.threads);
+    for (&(package, arch), q) in keys.iter().zip(built) {
+        let name = query_record_name(package, arch);
+        match q {
+            Ok(q) => {
+                index.set_query(name.clone(), &q);
+                report.repaired += 1;
+                report.push(
+                    format!("corpus.fui record {name}"),
+                    Verdict::Repaired,
+                    "query rebuilt",
+                );
+            }
+            Err(e) => report.push(
+                format!("corpus.fui record {name}"),
+                Verdict::Damaged,
+                e.to_string(),
+            ),
+        }
+    }
+    index.save(dir)
 }
 
 #[cfg(test)]
@@ -652,6 +734,66 @@ mod tests {
             !report.rows.iter().any(|r| r.verdict == Verdict::Damaged),
             "{report}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn query_records_are_ok_stale_or_damaged_and_repair_rebuilds_them() {
+        use firmup_firmware::index::{read_container, write_container_v2};
+        let (dir, _ckpt) = setup("queries");
+        let keys = [
+            ("wget", Arch::Mips32),
+            ("dbus", Arch::Arm32),
+            ("bftpd", Arch::X86),
+        ];
+        let mut index = CorpusIndex::load(&dir).unwrap();
+        let built = build_queries(&keys, 1);
+        assert_eq!(store_queries(&mut index, &keys, built), keys.len());
+        // dbus: built from "other inputs" — the digest no longer matches.
+        let name = |(p, a): (&str, Arch)| query_record_name(p, a);
+        let mut stale = index.query(&name(keys[1])).unwrap().unwrap();
+        stale.digest ^= 1;
+        index.set_query(name(keys[1]), &stale);
+        // bftpd: damaged under a valid container CRC.
+        let mut records = read_container(&index.to_bytes()).unwrap();
+        let r = records
+            .iter_mut()
+            .find(|r| r.name == name(keys[2]))
+            .unwrap();
+        let mid = r.payload.len() / 2;
+        r.payload[mid] ^= 0x55;
+        std::fs::write(index_path(&dir), write_container_v2(&records)).unwrap();
+
+        let verdict = |report: &FsckReport, key| {
+            let what = format!("corpus.fui record {}", name(key));
+            report
+                .rows
+                .iter()
+                .filter(|r| r.what == what)
+                .map(|r| r.verdict)
+                .collect::<Vec<_>>()
+        };
+        let report = run(&dir, &FsckOptions::default()).unwrap();
+        assert_eq!(verdict(&report, keys[0]), [Verdict::Ok], "{report}");
+        assert_eq!(verdict(&report, keys[1]), [Verdict::Stale], "{report}");
+        assert_eq!(verdict(&report, keys[2]), [Verdict::Damaged], "{report}");
+        assert_eq!(report.outcome(), FsckOutcome::Unrepairable, "{report}");
+
+        let repair = FsckOptions {
+            repair: true,
+            ..FsckOptions::default()
+        };
+        let report = run(&dir, &repair).unwrap();
+        assert_eq!(report.outcome(), FsckOutcome::Repaired, "{report}");
+        assert_eq!(
+            verdict(&report, keys[2]),
+            [Verdict::Damaged, Verdict::Repaired]
+        );
+        let report = run(&dir, &FsckOptions::default()).unwrap();
+        assert_eq!(report.outcome(), FsckOutcome::Clean, "{report}");
+        for key in keys {
+            assert_eq!(verdict(&report, key), [Verdict::Ok], "{report}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

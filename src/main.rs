@@ -768,6 +768,10 @@ fn scan(args: &[String]) -> Result<(), CliError> {
         "scan.budget_exceeded",
         "scan.units_done",
         "scan.steal_count",
+        "scan.queries_loaded",
+        "scan.queries_built",
+        "scan.query_records_rejected",
+        "scan.errors.query",
         "unpack.parts_quarantined",
         "index.cache_hit",
         "index.reps_decoded",
@@ -966,6 +970,7 @@ fn index(args: &[String]) -> Result<(), CliError> {
         "index.resumed",
         "index.reps_decoded",
         "index.bytes_mapped",
+        "index.queries_stored",
         "io.retries",
     ] {
         let _ = firmup::telemetry::counter(name);
@@ -1013,53 +1018,67 @@ fn index(args: &[String]) -> Result<(), CliError> {
     let mut skipped = 0usize;
     let mut segments_done = 0usize;
     let mut was_interrupted = false;
-    for p in &paths {
-        let bytes = match std::fs::read(Path::new(p.as_str())) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("firmup: skipping image {p}: {e}");
-                firmup::telemetry::incr("scan.errors.io");
-                skipped += 1;
-                continue;
-            }
-        };
-        let digest = image_digest(p, &bytes);
-        if ckpt.committed(digest) {
-            match ckpt.load_segment(digest) {
-                Ok(seg) => {
-                    firmup::telemetry::incr("index.segments_reused");
-                    reps.extend(seg);
-                    sealed.push(digest);
-                    segments_done += 1;
-                }
-                Err(e) => return Err(CliError::Msg(e.to_string())),
-            }
-        } else {
-            match firmup::pipeline::lift_image(p, &bytes, threads) {
-                Ok(seg) => {
-                    ckpt.commit(digest, &seg)
-                        .map_err(|e| CliError::Msg(e.to_string()))?;
-                    reps.extend(seg);
-                    sealed.push(digest);
-                    segments_done += 1;
-                }
+    // Build every CVE query once, on a worker that overlaps the image
+    // loop (and its per-segment fsyncs); the `query:*` records let each
+    // later `scan --index` skip compiling, lifting and canonicalizing
+    // the queries.
+    let query_keys = firmup::pipeline::query_keys();
+    let built_queries = std::thread::scope(|scope| {
+        let prebuild = scope.spawn(|| {
+            let _span = firmup::telemetry::span!("index.queries");
+            firmup::pipeline::build_queries(&query_keys, threads)
+        });
+        for p in &paths {
+            let bytes = match std::fs::read(Path::new(p.as_str())) {
+                Ok(b) => b,
                 Err(e) => {
-                    eprintln!("firmup: skipping image: {e}");
-                    firmup::telemetry::incr(&format!("scan.errors.{}", e.kind()));
+                    eprintln!("firmup: skipping image {p}: {e}");
+                    firmup::telemetry::incr("scan.errors.io");
                     skipped += 1;
+                    continue;
+                }
+            };
+            let digest = image_digest(p, &bytes);
+            if ckpt.committed(digest) {
+                match ckpt.load_segment(digest) {
+                    Ok(seg) => {
+                        firmup::telemetry::incr("index.segments_reused");
+                        reps.extend(seg);
+                        sealed.push(digest);
+                        segments_done += 1;
+                    }
+                    Err(e) => return Err(CliError::Msg(e.to_string())),
+                }
+            } else {
+                match firmup::pipeline::lift_image(p, &bytes, threads) {
+                    Ok(seg) => {
+                        ckpt.commit(digest, &seg)
+                            .map_err(|e| CliError::Msg(e.to_string()))?;
+                        reps.extend(seg);
+                        sealed.push(digest);
+                        segments_done += 1;
+                    }
+                    Err(e) => {
+                        eprintln!("firmup: skipping image: {e}");
+                        firmup::telemetry::incr(&format!("scan.errors.{}", e.kind()));
+                        skipped += 1;
+                    }
                 }
             }
+            lock.heartbeat();
+            crash_point(CP_BETWEEN_SEGMENTS);
+            if let Some(d) = segment_delay {
+                std::thread::sleep(d);
+            }
+            if firmup::shutdown::interrupted() {
+                was_interrupted = true;
+                break;
+            }
         }
-        lock.heartbeat();
-        crash_point(CP_BETWEEN_SEGMENTS);
-        if let Some(d) = segment_delay {
-            std::thread::sleep(d);
-        }
-        if firmup::shutdown::interrupted() {
-            was_interrupted = true;
-            break;
-        }
-    }
+        prebuild
+            .join()
+            .map_err(|_| CliError::Msg("query prebuild thread panicked".into()))
+    })?;
 
     let write_metrics = |metrics_out: &Option<PathBuf>| -> Result<(), CliError> {
         if let Some(path) = metrics_out {
@@ -1089,6 +1108,8 @@ fn index(args: &[String]) -> Result<(), CliError> {
     // Seal the ingested image digests into the base so `index --add`
     // can dedup against it and `compact` can prove what it folded.
     corpus.set_seals(sealed);
+    let stored = firmup::pipeline::store_queries(&mut corpus, &query_keys, built_queries);
+    firmup::telemetry::add("index.queries_stored", stored as u64);
     corpus
         .save(&out)
         .map_err(|e| CliError::Msg(e.to_string()))?;

@@ -20,14 +20,16 @@ use std::sync::{Arc, Mutex};
 
 use firmup_core::canon::CanonConfig;
 use firmup_core::error::{isolate, FaultCtx, FirmUpError};
-use firmup_core::persist::CorpusIndex;
+use firmup_core::persist::{query_record_name, CorpusIndex, QueryRecord};
 use firmup_core::search::{
     merge_outcomes, prefilter_candidates, scan_units, BudgetReason, Explain, ScanBudget, ScanUnit,
     SearchConfig, TargetOutcome,
 };
 use firmup_core::sim::{index_elf, ExecutableRep};
-use firmup_firmware::corpus::try_build_query;
+use firmup_firmware::corpus::{query_source, QuerySource};
+use firmup_firmware::durable::fnv1a_64;
 use firmup_firmware::image::unpack;
+use firmup_firmware::index::IndexError;
 use firmup_firmware::packages::{all_cves, CveSpec};
 use firmup_isa::Arch;
 use firmup_obj::Elf;
@@ -75,54 +77,63 @@ pub fn unpack_parts(tag: &str, bytes: &[u8]) -> Result<Vec<PartJob>, FirmUpError
 /// felled it.
 pub fn lift_parts(parts: &[PartJob], threads: usize) -> Vec<Result<ExecutableRep, FirmUpError>> {
     let canon = CanonConfig::default();
+    par_map(parts, threads, "part", |(ctx, id, data)| {
+        isolate(ctx.clone(), || {
+            let elf = Elf::parse(data)?;
+            index_elf(&elf, id, &canon).map_err(FirmUpError::from)
+        })
+    })
+}
+
+/// Apply `f` to every item over `threads` scoped worker threads (0 = one
+/// per core), keeping item order in the result. Each item runs under a
+/// `span` span parented on the caller's innermost span and keyed by item
+/// index, so the span tree is the same whether an item runs inline or on
+/// a worker thread.
+fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    span: &'static str,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
     } else {
         threads
     };
-    // Every part runs under a `part` span parented on the caller's
-    // innermost span and keyed by part index, so the span tree is the
-    // same whether the part lifts inline or on a worker thread.
     let parent = firmup_telemetry::current_ctx();
-    let lift_one = |i: usize, (ctx, id, data): &PartJob| {
+    let run_one = |i: usize| {
         let _span = match &parent {
-            Some(p) => p.child("part", i as u64).enter(),
-            None => firmup_telemetry::span!("part"),
+            Some(p) => p.child(span, i as u64).enter(),
+            None => firmup_telemetry::span!(span),
         };
-        isolate(ctx.clone(), || {
-            let elf = Elf::parse(data)?;
-            index_elf(&elf, id, &canon).map_err(FirmUpError::from)
-        })
+        f(&items[i])
     };
-    if threads <= 1 || parts.len() <= 1 {
-        return parts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| lift_one(i, p))
-            .collect();
+    if threads <= 1 || items.len() <= 1 {
+        return (0..items.len()).map(run_one).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<Result<ExecutableRep, FirmUpError>>>> =
-        std::sync::Mutex::new(vec![None; parts.len()]);
+    let slots: Mutex<Vec<Option<R>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
     std::thread::scope(|scope| {
-        for w in 0..threads.min(parts.len()) {
-            let (lift_one, next, slots) = (&lift_one, &next, &slots);
+        for w in 0..threads.min(items.len()) {
+            let (run_one, next, slots) = (&run_one, &next, &slots);
             scope.spawn(move || {
                 firmup_telemetry::set_worker(Some(w as u32));
                 loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= parts.len() {
+                    if i >= items.len() {
                         break;
                     }
-                    let r = lift_one(i, &parts[i]);
-                    slots.lock().expect("lift slots lock")[i] = Some(r);
+                    let r = run_one(i);
+                    slots.lock().expect("par_map slots lock")[i] = Some(r);
                 }
             });
         }
     });
     slots
         .into_inner()
-        .expect("lift slots lock")
+        .expect("par_map slots lock")
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()
@@ -166,6 +177,130 @@ pub fn lift_image(
 /// (`CorpusIndex::shards` clamps to the corpus size).
 pub const SCAN_SHARDS: usize = 32;
 
+// ---------------------------------------------------------------------------
+// CVE queries: built once (at `firmup index` time, or on a cache miss),
+// persisted as `query:<package>:<arch>` records, cached per process.
+// ---------------------------------------------------------------------------
+
+/// Version of the query build recipe, folded into every query digest.
+/// Bump it whenever compiler, lifter or canonicalizer changes can alter
+/// a query's rep without changing any other digest input: every
+/// persisted query record then reads as stale and is rebuilt.
+pub const QUERY_RECORD_VERSION: u32 = 1;
+
+/// Digest of everything a query build for `arch` consumes: package
+/// name, version, generated MinC source, arch, compiler options,
+/// canonicalization config, and [`QUERY_RECORD_VERSION`]. A persisted
+/// query whose digest differs from the current one is stale.
+pub fn query_digest(q: &QuerySource, arch: Arch) -> u64 {
+    let options = format!("{:?}", q.options);
+    let canon = format!("{:?}", CanonConfig::default());
+    fnv1a_64(&[
+        &QUERY_RECORD_VERSION.to_le_bytes(),
+        q.package.as_bytes(),
+        q.version.as_bytes(),
+        q.source.as_bytes(),
+        arch.name().as_bytes(),
+        options.as_bytes(),
+        canon.as_bytes(),
+    ])
+}
+
+/// Every (package, arch) query a scan can ask for: each CVE package, in
+/// CVE order, on every architecture.
+pub fn query_keys() -> Vec<(&'static str, Arch)> {
+    let mut packages: Vec<&'static str> = Vec::new();
+    for cve in all_cves() {
+        if !packages.contains(&cve.package) {
+            packages.push(cve.package);
+        }
+    }
+    packages
+        .into_iter()
+        .flat_map(|p| Arch::all().into_iter().map(move |a| (p, a)))
+        .collect()
+}
+
+/// Compile, lift and canonicalize the query for every key, over
+/// `threads` scoped workers (0 = one per core). Results keep key order;
+/// a failed build (unknown package, lift error, contained panic) is the
+/// structured error.
+pub fn build_queries(
+    keys: &[(&str, Arch)],
+    threads: usize,
+) -> Vec<Result<QueryRecord, FirmUpError>> {
+    par_map(keys, threads, "query", |&(package, arch)| {
+        isolate(FaultCtx::image("query").with_package(package), || {
+            let q = query_source(package)?;
+            let rep = index_elf(&q.compile(arch), "query", &CanonConfig::default())?;
+            Ok(QueryRecord {
+                digest: query_digest(&q, arch),
+                version: q.version.to_string(),
+                rep,
+            })
+        })
+    })
+}
+
+/// Store each successfully built query of `keys` (the output of
+/// [`build_queries`] over the same keys) into `corpus` as its
+/// `query:<package>:<arch>` record; returns how many were stored. A
+/// failure is reported to stderr and skipped — scans rebuild a missing
+/// record.
+pub fn store_queries(
+    corpus: &mut CorpusIndex,
+    keys: &[(&str, Arch)],
+    built: Vec<Result<QueryRecord, FirmUpError>>,
+) -> usize {
+    let mut stored = 0;
+    for (&(package, arch), q) in keys.iter().zip(built) {
+        match q {
+            Ok(q) => {
+                corpus.set_query(query_record_name(package, arch), &q);
+                stored += 1;
+            }
+            Err(e) => eprintln!("firmup: query {package} on {arch}: {e}"),
+        }
+    }
+    stored
+}
+
+/// Why a persisted query record could not be used.
+#[derive(Debug)]
+pub enum QueryRecordMiss {
+    /// The index carries no record for the key.
+    Absent,
+    /// The record does not decode (container CRC, checksum, layout).
+    Damaged(IndexError),
+    /// The record decodes but was built from other inputs than the
+    /// current build would use (digest or version mismatch).
+    Stale,
+}
+
+/// The persisted query for (`package`, `arch`), if `corpus` carries a
+/// record for it that decodes and whose digest matches a build from
+/// today's inputs (recomputing the digest only generates the source —
+/// microseconds, no compilation).
+///
+/// # Errors
+///
+/// The [`QueryRecordMiss`] that rules the record out.
+pub fn persisted_query(
+    corpus: &CorpusIndex,
+    package: &str,
+    arch: Arch,
+) -> Result<QueryRecord, QueryRecordMiss> {
+    let record = corpus
+        .query(&query_record_name(package, arch))
+        .ok_or(QueryRecordMiss::Absent)?
+        .map_err(QueryRecordMiss::Damaged)?;
+    let current = query_source(package).map_err(|_| QueryRecordMiss::Stale)?;
+    if record.digest != query_digest(&current, arch) || record.version != current.version {
+        return Err(QueryRecordMiss::Stale);
+    }
+    Ok(record)
+}
+
 /// A compiled CVE query: the query rep, the index of the vulnerable
 /// procedure inside it, and the vulnerable package version string.
 type QueryRep = Arc<(ExecutableRep, usize, String)>;
@@ -173,12 +308,117 @@ type QueryRep = Arc<(ExecutableRep, usize, String)>;
 /// Cache of compiled CVE queries keyed by (package, arch). Query
 /// compilation is corpus-independent, so one cache can serve every scan
 /// in a process — the CLI builds a fresh one per run, `firmup serve`
-/// shares one across all requests. A failed build is cached as `None`
-/// (and reported once via [`ScanOutput::diagnostics`]) so a broken
-/// package is not recompiled per request.
+/// shares one across all requests. A miss is filled from the corpus's
+/// persisted query record when it has a current one, else by a fresh
+/// build. A failed build is cached as `None` (and reported once via
+/// [`ScanOutput::diagnostics`]) so a broken package is not recompiled
+/// per request.
+///
+/// An entry caches the vulnerable-procedure index of the CVE that filled
+/// it, so a later CVE of the same package hunts that procedure too (the
+/// known defect described under "Known defect" in perfbench/METRICS.md).
+/// It is kept as is: fixing it changes findings, and the benchmark's
+/// traced scan mirrors it.
 #[derive(Default)]
 pub struct QueryCache {
     entries: Mutex<HashMap<(String, Arch), Option<QueryRep>>>,
+}
+
+/// Fill every (package, arch) entry the `cves` × `archs` jobs need that
+/// `cache` lacks: from `corpus`'s persisted query records first, the
+/// rest through [`build_queries`] — outside the cache lock, so a
+/// concurrent request is never blocked behind a compile. Each entry
+/// resolves the procedure of the first CVE that needs it.
+fn fill_query_cache(
+    corpus: &CorpusIndex,
+    cves: &[CveSpec],
+    archs: &[Arch],
+    cache: &QueryCache,
+    threads: usize,
+    out: &mut ScanOutput,
+) {
+    let mut missing: Vec<(CveSpec, Arch)> = Vec::new();
+    {
+        let entries = cache.entries.lock().expect("query cache lock");
+        for cve in cves {
+            for &arch in archs {
+                if !entries.contains_key(&(cve.package.to_string(), arch))
+                    && !missing
+                        .iter()
+                        .any(|(c, a)| c.package == cve.package && *a == arch)
+                {
+                    missing.push((*cve, arch));
+                }
+            }
+        }
+    }
+    if missing.is_empty() {
+        return;
+    }
+    let persisted: Vec<Option<QueryRecord>> = missing
+        .iter()
+        .map(
+            |(cve, arch)| match persisted_query(corpus, cve.package, *arch) {
+                Ok(q) => Some(q),
+                Err(QueryRecordMiss::Absent) => None,
+                Err(_) => {
+                    firmup_telemetry::incr("scan.query_records_rejected");
+                    None
+                }
+            },
+        )
+        .collect();
+    let to_build: Vec<(&str, Arch)> = missing
+        .iter()
+        .zip(&persisted)
+        .filter(|(_, p)| p.is_none())
+        .map(|((cve, arch), _)| (cve.package, *arch))
+        .collect();
+    out.queries_built += to_build.len();
+    firmup_telemetry::add("scan.queries_built", to_build.len() as u64);
+    firmup_telemetry::add(
+        "scan.queries_loaded",
+        (missing.len() - to_build.len()) as u64,
+    );
+    let mut built = build_queries(&to_build, threads).into_iter();
+    let mut filled = Vec::with_capacity(missing.len());
+    for ((cve, arch), persisted) in missing.into_iter().zip(persisted) {
+        let query = persisted.map_or_else(|| built.next().expect("one build per key"), Ok);
+        let entry = match query {
+            Err(e) => Err(format!("firmup: query for {}: {e}", cve.cve)),
+            Ok(QueryRecord {
+                mut rep, version, ..
+            }) => {
+                // Intern against the current corpus snapshot up front:
+                // a fresh query must not take the re-intern clone in
+                // `run_scan` (`rep.clones` is pinned flat — and zero —
+                // as the corpus grows).
+                rep.intern_with(&corpus.interner);
+                match rep.find_named(cve.procedure) {
+                    Some(qv) => Ok(Arc::new((rep, qv, version))),
+                    None => Err(format!(
+                        "firmup: query for {}: procedure {} not found in the {} {} query",
+                        cve.cve, cve.procedure, cve.package, arch
+                    )),
+                }
+            }
+        };
+        let entry = match entry {
+            Ok(query) => Some(query),
+            Err(line) => {
+                firmup_telemetry::incr("scan.errors.query");
+                out.diagnostics.push(line);
+                None
+            }
+        };
+        filled.push(((cve.package.to_string(), arch), entry));
+    }
+    let mut entries = cache.entries.lock().expect("query cache lock");
+    for (key, entry) in filled {
+        // A concurrent request may have filled the key meanwhile; keep
+        // whichever landed first.
+        entries.entry(key).or_insert(entry);
+    }
 }
 
 /// One scan job: a built CVE query and the candidate targets it plays
@@ -270,6 +510,9 @@ pub struct ScanOutput {
     /// Human-readable degradation lines (poisoned targets, over-budget
     /// targets, query-build failures), for stderr.
     pub diagnostics: Vec<String>,
+    /// Query-cache misses filled by compiling the query (the rest came
+    /// from the corpus's persisted `query:*` records).
+    pub queries_built: usize,
 }
 
 impl ScanOutput {
@@ -291,8 +534,119 @@ impl ScanOutput {
     }
 }
 
-/// Execute one complete scan against an acquired corpus: build (or
-/// fetch cached) CVE queries, decompose candidates along the index's
+/// Phase 1 of [`run_scan`]: one job per (CVE, arch group) whose query
+/// is available, with its candidate targets. A CVE whose query cannot
+/// be built, or lacks the vulnerable procedure, yields a diagnostic and
+/// no job.
+fn plan_jobs(
+    corpus: &CorpusIndex,
+    cves: Vec<CveSpec>,
+    opts: &ScanOptions,
+    cache: &QueryCache,
+    out: &mut ScanOutput,
+) -> Vec<ScanJob> {
+    // Group targets by architecture: each (CVE, arch) pair is one job.
+    // Identity metadata only — no executable payload is decoded here.
+    let mut arch_groups: Vec<(Arch, Vec<usize>)> = Vec::new();
+    for i in 0..corpus.len() {
+        let arch = corpus.exe_arch(i);
+        match arch_groups.iter_mut().find(|(a, _)| *a == arch) {
+            Some((_, members)) => members.push(i),
+            None => arch_groups.push((arch, vec![i])),
+        }
+    }
+    // Groups are discovered in executable order, which an `index --add`
+    // history is free to permute. Sort by arch so the job list — and
+    // with it the findings stream — is a pure function of corpus
+    // content, not of ingestion order.
+    arch_groups.sort_by_key(|(a, _)| *a);
+
+    let archs: Vec<Arch> = arch_groups.iter().map(|(a, _)| *a).collect();
+    fill_query_cache(corpus, &cves, &archs, cache, opts.threads, out);
+    let mut jobs: Vec<ScanJob> = Vec::new();
+    for cve in cves {
+        for (arch, members) in &arch_groups {
+            let key = (cve.package.to_string(), *arch);
+            let mut entries = cache.entries.lock().expect("query cache lock");
+            let Some(entry) = entries.get_mut(&key) else {
+                continue;
+            };
+            // Re-intern the cached query against the *current*
+            // corpus snapshot: the cache outlives hot reloads, and
+            // a stale interner token would silently demote the
+            // whole scan to the hash-compare slow path (never to a
+            // wrong answer — token mismatches fall back). One rep
+            // clone per (package, arch, corpus *generation*) — a
+            // hot-reload event, never a function of corpus size.
+            if let Some(q) = entry.as_mut() {
+                let tok = corpus.interner.token();
+                let have =
+                    q.0.procedures
+                        .first()
+                        .and_then(|p| p.interned.as_ref())
+                        .map(|i| i.token);
+                if have != Some(tok) {
+                    let mut rep = q.0.clone();
+                    rep.intern_with(&corpus.interner);
+                    *q = Arc::new((rep, q.1, q.2.clone()));
+                }
+            }
+            let Some(query) = entry.clone() else {
+                continue;
+            };
+            drop(entries);
+            // The full overlap ranking serves two masters: top-k
+            // candidate selection and explain provenance (rank /
+            // score / pool). Computed once, unconditionally ranked
+            // (k = 0) so explain records are identical with and
+            // without top-k trimming. Score ties are re-broken on
+            // the executable's stable id: the raw postings index
+            // reflects ingestion order, which an `index --add`
+            // history is free to permute, and the top-k cut must
+            // land identically for every such history.
+            let ranked: Option<Vec<(usize, f64)>> = (opts.top_k > 0 || opts.explain).then(|| {
+                let mut r = prefilter_candidates(
+                    &query.0.procedures[query.1],
+                    &corpus.postings,
+                    Some(&corpus.context),
+                    0,
+                );
+                r.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| corpus.exe_id(a.0).cmp(corpus.exe_id(b.0)))
+                });
+                r
+            });
+            let candidates: Vec<usize> = if opts.top_k > 0 {
+                ranked
+                    .as_deref()
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .filter(|&i| corpus.exe_arch(i) == *arch)
+                    .take(opts.top_k)
+                    .collect()
+            } else {
+                members.clone()
+            };
+            if candidates.is_empty() {
+                continue;
+            }
+            jobs.push(ScanJob {
+                cve,
+                query,
+                candidates,
+                prefilter: if opts.explain { ranked } else { None },
+            });
+        }
+    }
+    jobs
+}
+
+/// Execute one complete scan against an acquired corpus: fetch the CVE
+/// queries (from `cache`, else the corpus's persisted `query:*` records,
+/// else a fresh build), decompose candidates along the index's
 /// [`SCAN_SHARDS`] shard boundaries into fine-grained work units, run
 /// them all in one work-stealing pass sharing `budget`, and merge the
 /// outcomes deterministically. `stop` is polled at unit boundaries (the
@@ -318,131 +672,19 @@ pub fn run_scan(
     cache: &QueryCache,
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Result<ScanOutput, FirmUpError> {
-    let canon = CanonConfig::default();
     let mut out = ScanOutput::default();
 
-    // Group targets by architecture: each (CVE, arch) pair is one job.
-    // Identity metadata only — no executable payload is decoded here.
-    let mut arch_groups: Vec<(Arch, Vec<usize>)> = Vec::new();
-    for i in 0..corpus.len() {
-        let arch = corpus.exe_arch(i);
-        match arch_groups.iter_mut().find(|(a, _)| *a == arch) {
-            Some((_, members)) => members.push(i),
-            None => arch_groups.push((arch, vec![i])),
-        }
-    }
-    // Groups are discovered in executable order, which an `index --add`
-    // history is free to permute. Sort by arch so the job list — and
-    // with it the findings stream — is a pure function of corpus
-    // content, not of ingestion order.
-    arch_groups.sort_by_key(|(a, _)| *a);
-
-    // Phase 1 — build the job list serially: compile one query per
+    // Phase 1 — build the job list serially: fetch one query per
     // (package, arch) and select its candidates (whole arch group, or
     // top-k by weighted strand overlap from the postings table).
-    let mut jobs: Vec<ScanJob> = Vec::new();
-    {
+    let cves: Vec<CveSpec> = all_cves()
+        .into_iter()
+        .filter(|cve| opts.cve.as_deref().is_none_or(|f| cve.cve == f))
+        .collect();
+    let jobs = {
         let _span = firmup_telemetry::span!("queries");
-        for cve in all_cves() {
-            if let Some(filter) = &opts.cve {
-                if cve.cve != filter.as_str() {
-                    continue;
-                }
-            }
-            for (arch, members) in &arch_groups {
-                let key = (cve.package.to_string(), *arch);
-                let mut entries = cache.entries.lock().expect("query cache lock");
-                let entry = entries.entry(key).or_insert_with(|| {
-                    let (elf, version) = match try_build_query(cve.package, *arch) {
-                        Ok(q) => q,
-                        Err(e) => {
-                            out.diagnostics
-                                .push(format!("firmup: query for {}: {e}", cve.cve));
-                            return None;
-                        }
-                    };
-                    index_elf(&elf, "query", &canon).ok().and_then(|mut rep| {
-                        // Intern against the current corpus snapshot up
-                        // front: a fresh query must not take the
-                        // re-intern clone below (`rep.clones` is pinned
-                        // flat — and zero — as the corpus grows).
-                        rep.intern_with(&corpus.interner);
-                        rep.find_named(cve.procedure)
-                            .map(|qv| Arc::new((rep, qv, version)))
-                    })
-                });
-                // Re-intern the cached query against the *current*
-                // corpus snapshot: the cache outlives hot reloads, and
-                // a stale interner token would silently demote the
-                // whole scan to the hash-compare slow path (never to a
-                // wrong answer — token mismatches fall back). One rep
-                // clone per (package, arch, corpus *generation*) — a
-                // hot-reload event, never a function of corpus size.
-                if let Some(q) = entry.as_mut() {
-                    let tok = corpus.interner.token();
-                    let have =
-                        q.0.procedures
-                            .first()
-                            .and_then(|p| p.interned.as_ref())
-                            .map(|i| i.token);
-                    if have != Some(tok) {
-                        let mut rep = q.0.clone();
-                        rep.intern_with(&corpus.interner);
-                        *q = Arc::new((rep, q.1, q.2.clone()));
-                    }
-                }
-                let Some(query) = entry.clone() else {
-                    continue;
-                };
-                drop(entries);
-                // The full overlap ranking serves two masters: top-k
-                // candidate selection and explain provenance (rank /
-                // score / pool). Computed once, unconditionally ranked
-                // (k = 0) so explain records are identical with and
-                // without top-k trimming. Score ties are re-broken on
-                // the executable's stable id: the raw postings index
-                // reflects ingestion order, which an `index --add`
-                // history is free to permute, and the top-k cut must
-                // land identically for every such history.
-                let ranked: Option<Vec<(usize, f64)>> =
-                    (opts.top_k > 0 || opts.explain).then(|| {
-                        let mut r = prefilter_candidates(
-                            &query.0.procedures[query.1],
-                            &corpus.postings,
-                            Some(&corpus.context),
-                            0,
-                        );
-                        r.sort_by(|a, b| {
-                            b.1.partial_cmp(&a.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then_with(|| corpus.exe_id(a.0).cmp(corpus.exe_id(b.0)))
-                        });
-                        r
-                    });
-                let candidates: Vec<usize> = if opts.top_k > 0 {
-                    ranked
-                        .as_deref()
-                        .unwrap_or_default()
-                        .iter()
-                        .map(|&(i, _)| i)
-                        .filter(|&i| corpus.exe_arch(i) == *arch)
-                        .take(opts.top_k)
-                        .collect()
-                } else {
-                    members.clone()
-                };
-                if candidates.is_empty() {
-                    continue;
-                }
-                jobs.push(ScanJob {
-                    cve,
-                    query,
-                    candidates,
-                    prefilter: if opts.explain { ranked } else { None },
-                });
-            }
-        }
-    }
+        plan_jobs(corpus, cves, opts, cache, &mut out)
+    };
 
     // Phase 2 — decode the union of every job's candidates (a no-op on
     // eager indexes; on lazy ones this is the only place executable
@@ -588,5 +830,47 @@ mod tests {
         assert_eq!(reps, serial, "parallel lift must match serial order");
         // Total garbage is a structured error, not a panic.
         assert!(lift_image("junk", &[0u8; 16], 1).is_err());
+    }
+
+    #[test]
+    fn a_cve_naming_a_missing_procedure_is_a_diagnostic_not_a_job() {
+        firmup_telemetry::enable();
+        let corpus = generate(&CorpusConfig::tiny());
+        let reps = lift_image("img0", &corpus.images[0].blob, 1).unwrap();
+        let index = CorpusIndex::build(reps);
+        let real = all_cves()[0];
+        let bogus = CveSpec {
+            cve: "CVE-0000-0000",
+            procedure: "no_such_procedure",
+            ..real
+        };
+        let mut out = ScanOutput::default();
+        let jobs = plan_jobs(
+            &index,
+            vec![bogus],
+            &ScanOptions::default(),
+            &QueryCache::default(),
+            &mut out,
+        );
+        assert!(jobs.is_empty(), "a job was planned for a missing procedure");
+        assert!(!out.diagnostics.is_empty());
+        assert!(
+            out.diagnostics
+                .iter()
+                .all(|d| d.contains("CVE-0000-0000") && d.contains("no_such_procedure")),
+            "{:?}",
+            out.diagnostics
+        );
+        assert!(firmup_telemetry::counter("scan.errors.query").get() >= 1);
+        // The same package with its real procedure does plan jobs.
+        let mut out = ScanOutput::default();
+        let jobs = plan_jobs(
+            &index,
+            vec![real],
+            &ScanOptions::default(),
+            &QueryCache::default(),
+            &mut out,
+        );
+        assert!(!jobs.is_empty() && out.diagnostics.is_empty());
     }
 }

@@ -132,6 +132,10 @@ pub fn run(cfg: &ServeConfig) -> Result<u8, String> {
             "serve.bad_requests",
             "serve.reloads",
             "serve.reload_failures",
+            "scan.queries_loaded",
+            "scan.queries_built",
+            "scan.query_records_rejected",
+            "scan.errors.query",
         ],
         &["serve.queue_depth"],
         &["serve.request_us", "serve.queue_wait_us"],

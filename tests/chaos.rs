@@ -84,6 +84,17 @@ fn typed_record_corruption_is_rejected_on_both_read_paths() {
             );
         }
     }
+    // A damaged query record is a cache miss on both loaders: the scan
+    // rebuilds the query and renders the pristine findings bytes.
+    for mutation in ["truncated", "bitflip"] {
+        let t = report
+            .record_trials
+            .iter()
+            .find(|t| t.record == "query" && t.mutation == mutation)
+            .unwrap_or_else(|| panic!("missing trial query:{mutation}"));
+        assert!(t.eager_ok && t.lazy_ok, "query:{mutation}: {t:?}");
+        assert_eq!(t.fallback_matches, Some(true), "query:{mutation}: {t:?}");
+    }
     for t in &report.record_trials {
         assert!(
             t.passed(),

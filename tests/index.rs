@@ -433,3 +433,100 @@ fn scan_peak_rep_clones_stay_flat_as_the_corpus_grows() {
     );
     assert_eq!(big_clones, 0, "scan path clones ExecutableRep");
 }
+
+/// Run `firmup scan ARGS --format json --metrics-out M`, returning the
+/// findings document (stdout bytes) and the run's counters.
+fn scan_with_counters(dir: &Path, args: &[&str]) -> (Vec<u8>, Json) {
+    let metrics = dir.join("scan-metrics.json");
+    let out = firmup()
+        .arg("scan")
+        .args(args)
+        .args([
+            "--format",
+            "json",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "scan {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let counters = doc.get("counters").cloned().expect("counters");
+    (out.stdout, counters)
+}
+
+fn count(counters: &Json, name: &str) -> f64 {
+    counters
+        .get(name)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("counter {name} missing: {counters:?}"))
+}
+
+#[test]
+fn warm_scan_loads_persisted_queries_and_matches_fresh_builds() {
+    let dir = temp_dir("persisted-queries");
+    let images = gen_corpus(&dir, "3");
+    let idx = dir.join("idx");
+    let out = firmup()
+        .arg("index")
+        .args(&images)
+        .args(["--out", idx.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let index = firmup::core::persist::CorpusIndex::load(&idx).expect("load");
+    assert_eq!(
+        index.query_names().count(),
+        firmup::pipeline::query_keys().len(),
+        "index must carry one query record per (package, arch)"
+    );
+
+    // The same corpus without query records: the v1 container never
+    // carries them, so every query of a scan is compiled fresh.
+    let fresh = dir.join("idx-fresh");
+    index.save_v1(&fresh).expect("save v1");
+    let idx_s = idx.to_str().unwrap();
+    let fresh_s = fresh.to_str().unwrap();
+
+    let (warm, c) = scan_with_counters(&dir, &["--index", idx_s]);
+    assert_eq!(count(&c, "scan.queries_built"), 0.0, "warm scan compiled");
+    assert!(count(&c, "scan.queries_loaded") > 0.0);
+    let (rebuilt, c) = scan_with_counters(&dir, &["--index", fresh_s]);
+    assert!(count(&c, "scan.queries_built") > 0.0);
+    assert_eq!(count(&c, "scan.queries_loaded"), 0.0);
+    assert_eq!(
+        warm, rebuilt,
+        "persisted queries changed the findings bytes"
+    );
+    let mut cold_args: Vec<&str> = images.iter().map(|p| p.to_str().unwrap()).collect();
+    let (cold, _) = scan_with_counters(&dir, &cold_args);
+    assert_eq!(warm, cold, "warm scan differs from the cold scan");
+    cold_args.extend(["--top-k", "3", "--explain"]);
+    let (cold_explained, _) = scan_with_counters(&dir, &cold_args);
+
+    // Persisted == fresh under every option that shapes the output.
+    let mut variants: Vec<Vec<String>> = vec![
+        vec!["--threads".into(), "1".into()],
+        vec!["--threads".into(), "4".into()],
+        vec!["--top-k".into(), "3".into()],
+        vec!["--explain".into()],
+    ];
+    for cve in firmup::firmware::packages::all_cves() {
+        variants.push(vec!["--cve".into(), cve.cve.into()]);
+    }
+    for extra in &variants {
+        let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
+        let (a, ca) = scan_with_counters(&dir, &[&["--index", idx_s][..], &extra].concat());
+        let (b, _) = scan_with_counters(&dir, &[&["--index", fresh_s][..], &extra].concat());
+        assert_eq!(a, b, "{extra:?}: persisted and fresh queries disagree");
+        assert_eq!(count(&ca, "scan.queries_built"), 0.0, "{extra:?}");
+    }
+    let (warm_explained, _) =
+        scan_with_counters(&dir, &["--index", idx_s, "--top-k", "3", "--explain"]);
+    assert_eq!(warm_explained, cold_explained);
+    let _ = std::fs::remove_dir_all(&dir);
+}

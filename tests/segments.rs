@@ -173,3 +173,59 @@ proptest! {
         let _ = std::fs::remove_dir_all(&idx);
     }
 }
+
+/// A base built by `firmup index` carries the prebuilt `query:*`
+/// records; `index --add` leaves them in the base and `compact` carries
+/// them into the folded file unchanged, so the grown index still scans
+/// without compiling a query — and to the monolithic build's bytes.
+#[test]
+fn index_add_compact_history_keeps_the_query_records() {
+    let fx = fixture();
+    let idx = fx.root.join("query-records");
+    let _ = std::fs::remove_dir_all(&idx);
+    let (base, rest) = fx.images.split_at(fx.images.len() / 2);
+    let out = firmup()
+        .arg("index")
+        .args(base)
+        .args(["--out", idx.to_str().unwrap(), "--threads", "1"])
+        .output()
+        .expect("spawn index");
+    assert!(out.status.success());
+    let records = |idx: &Path| {
+        let ix = firmup::core::persist::CorpusIndex::load(idx).expect("load");
+        ix.query_names()
+            .map(|n| (n.to_string(), ix.query(n).unwrap().unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let built = records(&idx);
+    assert_eq!(built.len(), firmup::pipeline::query_keys().len());
+    let out = firmup()
+        .args(["index", "--add"])
+        .args(rest)
+        .args(["--out", idx.to_str().unwrap(), "--threads", "1"])
+        .output()
+        .expect("spawn index --add");
+    assert!(out.status.success());
+    let metrics = idx.join("m.json");
+    let scan_built = |idx: &Path| {
+        let out = firmup()
+            .args(["scan", "--index", idx.to_str().unwrap(), "--format", "json"])
+            .args(["--metrics-out", metrics.to_str().unwrap()])
+            .output()
+            .expect("spawn scan");
+        assert!(out.status.success());
+        let doc = firmup::telemetry::json::Json::parse(&std::fs::read_to_string(&metrics).unwrap())
+            .unwrap();
+        let built = doc
+            .get("counters")
+            .and_then(|c| c.get("scan.queries_built"))
+            .and_then(firmup::telemetry::json::Json::as_f64);
+        (String::from_utf8(out.stdout).unwrap(), built)
+    };
+    assert_eq!(scan_built(&idx), (fx.baseline.clone(), Some(0.0)));
+    let out = firmup().arg("compact").arg(&idx).output().expect("compact");
+    assert!(out.status.success());
+    assert_eq!(records(&idx), built, "compact changed the query records");
+    assert_eq!(scan_built(&idx), (fx.baseline.clone(), Some(0.0)));
+    let _ = std::fs::remove_dir_all(&idx);
+}

@@ -418,3 +418,70 @@ fn budgets_malformed_input_and_metrics_are_structured() {
     assert_eq!(d.wait_exit(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A record-backed snapshot: the daemon fills its query cache from the
+/// persisted `query:*` records (no compile), its first response equals
+/// the CLI's bytes and those of a scan that compiled every query, and a
+/// SIGHUP reload — here onto the same corpus without records — keeps
+/// the response equal.
+#[test]
+fn first_response_from_persisted_queries_matches_cli_across_reload() {
+    let dir = temp_dir("records");
+    let baseline = build_index(&dir, "corpus", "idx", None);
+    let index = firmup::core::persist::CorpusIndex::load(&dir.join("idx")).expect("load");
+    assert!(
+        index.query_names().count() > 0,
+        "index carries no query records"
+    );
+    index.save_v1(&dir.join("idx-fresh")).expect("save v1");
+    let fresh = firmup_bin()
+        .args(["scan", "--index", "idx-fresh", "--format", "json"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn scan");
+    assert!(fresh.status.success());
+    assert_eq!(fresh.stdout, baseline, "fresh-build CLI scan differs");
+
+    let d = Daemon::spawn(&dir, "idx", "records", &[], &[]);
+    let addr = &d.addr;
+    let first = scan(addr, "{}");
+    assert_eq!(first.status, 200);
+    assert_eq!(first.body, baseline, "first response differs from the CLI");
+    let counter = |name: &str| -> f64 {
+        let resp = http_request(addr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
+        let text = String::from_utf8(resp.body).expect("metrics are UTF-8");
+        firmup::telemetry::export::parse_exposition(&text)
+            .expect("exposition parses")
+            .iter()
+            .find(|s| s.name == name && s.labels.is_empty())
+            .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
+            .value
+    };
+    assert!(counter("firmup_scan_queries_loaded_total") > 0.0);
+    assert_eq!(counter("firmup_scan_queries_built_total"), 0.0);
+
+    std::fs::copy(
+        firmup::firmware::index::index_path(&dir.join("idx-fresh")),
+        firmup::firmware::index::index_path(&dir.join("idx")),
+    )
+    .expect("republish index");
+    d.signal("-HUP");
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        let resp = http_request(addr, "GET", "/readyz", None, TIMEOUT).expect("readyz");
+        let doc =
+            Json::parse(std::str::from_utf8(&resp.body).expect("utf8")).expect("readyz parses");
+        if doc.get("epoch").and_then(Json::as_u64) == Some(2) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "reload never completed");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let after = scan(addr, "{}");
+    assert_eq!(after.status, 200);
+    assert_eq!(after.body, baseline, "response changed across the reload");
+    assert_eq!(counter("firmup_scan_queries_built_total"), 0.0);
+    d.signal("-TERM");
+    assert_eq!(d.wait_exit(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
