@@ -887,7 +887,6 @@ pub fn bench_index(scale: usize) -> IndexBench {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Equivalence check: same query, cold corpus vs reloaded corpus.
-    warm_index.ensure_all().expect("decode warm index");
     let results_equal =
         match (0..cold_index.len()).find(|&i| !cold_index.get(i).procedures.is_empty()) {
             Some(qi) => {
@@ -937,8 +936,8 @@ pub fn bench_index(scale: usize) -> IndexBench {
 /// triple.
 #[derive(Debug, Clone)]
 pub struct ScanBenchCell {
-    /// `"cold"` (index built in memory), `"warm"` (v2 file opened
-    /// lazily), or `"warm_v1"` (v1 file loaded eagerly).
+    /// `"cold"` (index built in memory) or `"warm"` (index file opened
+    /// lazily).
     pub mode: &'static str,
     /// Worker thread count for the work-stealing executor.
     pub threads: usize,
@@ -956,10 +955,10 @@ pub struct ScanBenchCell {
     pub findings: usize,
     /// Whether the findings fingerprint is byte-identical to the
     /// same-top-k cold serial reference — the determinism invariant
-    /// (every thread count, cold ≡ warm ≡ warm_v1), measured.
+    /// (every thread count, cold ≡ warm), measured.
     pub results_equal: bool,
-    /// Executable payloads decoded during this cell (lazy modes only;
-    /// 0 for eager stores or already-cached slots).
+    /// Executable payloads decoded during this cell (warm mode only;
+    /// 0 for built indexes or already-cached slots).
     pub reps_decoded: u64,
     /// Median per-target game latency (µs, from `search.target_us`).
     pub p50_target_us: f64,
@@ -1068,13 +1067,13 @@ fn scan_bench_config(preset: &str) -> Option<firmup_firmware::corpus::CorpusConf
 /// Measure how the sharded, work-stealing scan executor scales: the full
 /// built-in CVE hunt (every query × every same-arch target, exactly the
 /// `firmup scan` decomposition) swept over threads ∈ {1, 2, 4, 8}
-/// (`quick`: {1, 2, 4}) × three index modes — cold (built in memory),
-/// warm (v2 file, lazy load), and warm_v1 (v1 file, eager load) — plus
-/// a `--top-k` sensitivity series on the lazy index, where per-scan
-/// decode cost tracks the candidate set. Every cell's merged findings
-/// are fingerprinted against the same-top-k cold serial reference —
-/// `results_equal` is the determinism invariant (every thread count,
-/// cold ≡ warm ≡ warm_v1), measured rather than assumed.
+/// (`quick`: {1, 2, 4}) × two index modes — cold (built in memory) and
+/// warm (index file, lazy load) — plus a `--top-k` sensitivity series
+/// on the warm index, where per-scan decode cost tracks the candidate
+/// set. Every cell's merged findings are fingerprinted against the
+/// same-top-k cold serial reference — `results_equal` is the
+/// determinism invariant (every thread count, cold ≡ warm), measured
+/// rather than assumed.
 ///
 /// # Panics
 ///
@@ -1113,14 +1112,9 @@ pub fn bench_scan(preset: &str) -> ScanBench {
     let postings_bytes = cold.postings.resident_bytes() as u64;
     let dir = std::env::temp_dir().join(format!("firmup-bench-scan-{}", std::process::id()));
     cold.save(&dir).expect("save index");
+    // Top-k cells below reopen the file fresh so the decode counter
+    // starts from an empty cache.
     let warm = CorpusIndex::open(&dir).expect("open index");
-    assert!(warm.is_lazy(), "v2 save must open lazily");
-    cold.save_v1(&dir).expect("save v1 index");
-    let warm_v1 = CorpusIndex::open(&dir).expect("open v1 index");
-    assert!(!warm_v1.is_lazy(), "v1 file must load eagerly");
-    // Keep the v2 file around: top-k cells below reopen it fresh so the
-    // decode counter starts from an empty cache.
-    cold.save(&dir).expect("save index");
 
     // Jobs exactly as `firmup scan` builds them: one per (CVE, arch
     // group), query compiled once per (package, arch).
@@ -1160,7 +1154,7 @@ pub fn bench_scan(preset: &str) -> ScanBench {
     let plays: usize = jobs.iter().map(|(.., members)| members.len()).sum();
 
     // One sweep: trim each job's candidates to top-k (0 = all), decode
-    // the union (lazy indexes pay here — included in the wall), then
+    // the union (a warm index pays here — included in the wall), then
     // decompose along shard boundaries, run every unit, and fingerprint
     // the merged findings (content + stable ids only).
     let run_sweep = |index: &CorpusIndex, threads: usize, top_k: usize| -> (f64, Vec<String>) {
@@ -1315,7 +1309,7 @@ pub fn bench_scan(preset: &str) -> ScanBench {
         });
         wall_ms
     };
-    for (mode, index) in [("cold", &cold), ("warm", &warm), ("warm_v1", &warm_v1)] {
+    for (mode, index) in [("cold", &cold), ("warm", &warm)] {
         let mut serial_wall = 0.0f64;
         for &threads in sweep {
             let wall = measure(index, mode, threads, 0, serial_wall);
@@ -1325,7 +1319,7 @@ pub fn bench_scan(preset: &str) -> ScanBench {
         }
     }
     // Top-k sensitivity at the widest thread count, each k on a freshly
-    // opened lazy index so `reps_decoded` reflects a cold decode cache.
+    // opened index so `reps_decoded` reflects a cold decode cache.
     let widest = *sweep.last().unwrap_or(&1);
     for &k in &[8usize, 32, 128] {
         let fresh = CorpusIndex::open(&dir).expect("reopen index");
@@ -1386,7 +1380,7 @@ pub fn render_scan_bench(b: &ScanBench) -> String {
 
 /// The standalone acceptance gate on a fresh [`ScanBench`], independent
 /// of any baseline: every cell must report `results_equal` (the
-/// determinism invariant across thread counts, cold ≡ warm ≡ warm_v1),
+/// determinism invariant across thread counts, cold ≡ warm),
 /// and — only when the host has ≥ 4 cores, where parallel speedup is
 /// physically measurable — the best 4-thread `top_k = 0` cell must
 /// clear 1.5× over its serial counterpart.

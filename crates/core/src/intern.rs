@@ -16,8 +16,9 @@
 //! tokens match. A rep interned against yesterday's snapshot can never
 //! be silently compared by id against today's (serve hot-reload swaps
 //! the corpus under long-lived query caches) — mismatched tokens fall
-//! back to the always-correct hash path. The persisted `intern` FUIX
-//! record stores only the hash list; tokens are never written.
+//! back to the always-correct hash path. Nothing of an interner is
+//! persisted: a loaded index derives its interner from the posting
+//! table's key set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,7 +56,7 @@ impl StrandInterner {
     }
 
     /// Adopt an already sorted, strictly increasing hash list (e.g. a
-    /// decoded `intern` record — the decoder enforces monotonicity at
+    /// decoded posting table's keys — the decoder enforces monotonicity at
     /// the trust boundary).
     pub fn from_sorted(hashes: Vec<u64>) -> StrandInterner {
         debug_assert!(hashes.windows(2).all(|w| w[0] < w[1]), "not sorted/unique");
@@ -86,7 +87,7 @@ impl StrandInterner {
         self.hashes.is_empty()
     }
 
-    /// The sorted hash list (what the `intern` FUIX record persists).
+    /// The sorted hash list.
     pub fn hashes(&self) -> &[u64] {
         &self.hashes
     }

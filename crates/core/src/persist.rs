@@ -7,13 +7,13 @@
 //! strand hashes), the trained [`GlobalContext`], and an inverted
 //! [`StrandPostings`] table for candidate prefiltering. `firmup index
 //! IMAGE... --out DIR` builds and saves one; `firmup scan --index DIR`
-//! loads it and goes straight to the back-and-forth game.
+//! opens it and goes straight to the back-and-forth game.
 //!
 //! This module owns the *typed* encoding — how reps, context, and
 //! postings become record payloads. The byte-level container (magic,
 //! format version, per-record CRC-32, truncation-safe reads) is
-//! [`firmup_firmware::index`] ("FUIX"); see ARCHITECTURE.md §4 for the
-//! full format specification.
+//! [`firmup_firmware::index`] ("FUIX", format version 2 only); see
+//! ARCHITECTURE.md §4 for the full format specification.
 //!
 //! Record names within the container:
 //!
@@ -23,22 +23,19 @@
 //!   sealed, which is what makes `firmup compact`'s two-file publish
 //!   crash-safe (see ARCHITECTURE.md §4.9);
 //! * `exemeta` — per-executable id + arch, decodable without touching
-//!   any `exe:<i>` payload (written by v2 indexes; enables lazy loads);
+//!   any `exe:<i>` payload (what makes loads lazy);
 //! * `exe:<i>` — the i-th [`ExecutableRep`];
 //! * `query:<package>:<arch>` — a prebuilt CVE query ([`QueryRecord`]),
-//!   written by `firmup index` (v2 only, omitted when none were built);
-//!   a cache of a pure function of its inputs, so an absent, stale or
-//!   damaged one costs a rebuild, never an answer (ARCHITECTURE.md
-//!   §4.11);
+//!   written by `firmup index` (omitted when none were built); a cache
+//!   of a pure function of its inputs, so an absent, stale or damaged
+//!   one costs a rebuild, never an answer (ARCHITECTURE.md §4.11);
 //! * `context` — the [`GlobalContext`] document frequencies;
-//! * `intern` — the corpus [`StrandInterner`] hash list, varint-delta
-//!   compressed (written by v2 indexes; readers without it rebuild the
-//!   interner from the context keys, counted in
-//!   `index.interner_rebuilt`);
 //! * `postings2` — the [`StrandPostings`] table, varint-delta
-//!   compressed (current writers);
-//! * `postings` — the same table in the legacy fixed-width layout
-//!   (still read; written only by [`CorpusIndex::to_bytes_v1`]).
+//!   compressed.
+//!
+//! The corpus [`StrandInterner`] is not stored: its hash list is the
+//! sorted set of every strand in the corpus, which is exactly the
+//! `postings2` key set, so every reader derives it from there.
 //!
 //! ## Multi-segment layouts
 //!
@@ -52,20 +49,22 @@
 //! by the running total — so the merged structures are exactly what a
 //! from-scratch build over the same image set would produce.
 //!
-//! Unknown record names are skipped on load (the forward-compatibility
-//! rule: additive format changes introduce new names, breaking changes
-//! bump the container's format version).
+//! Unknown record names (such as the `intern` record older writers
+//! stored) are skipped on load — the forward-compatibility rule:
+//! additive format changes introduce new names, breaking changes bump
+//! the container's format version.
 //!
-//! ## Eager vs. lazy loading
+//! ## Loading
 //!
-//! [`CorpusIndex::load`] decodes every record up front (the historical
-//! path; works for v1 and v2 files). [`CorpusIndex::open`] reads only
-//! the record table, `meta`/`exemeta`, `context`, and `postings` from a
-//! v2 file — each [`ExecutableRep`] stays a byte range until a scan
-//! asks for it via [`CorpusIndex::try_get`] /
+//! [`CorpusIndex::open`] reads only the record table, `meta`/`exemeta`,
+//! `context`, and `postings2` — each [`ExecutableRep`] stays a byte
+//! range until a scan asks for it via [`CorpusIndex::try_get`] /
 //! [`CorpusIndex::ensure_decoded`], then is cached for the life of the
 //! index. Warm-scan startup cost therefore scales with the *candidate
-//! set*, not the corpus. v1 files fall back to the eager path.
+//! set*, not the corpus. [`CorpusIndex::load`] is `open` followed by
+//! [`CorpusIndex::ensure_all`]: it verifies and decodes every payload
+//! up front, for callers that must reject a damaged file before using
+//! it (a `serve` reload, compaction).
 
 use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
@@ -75,9 +74,8 @@ use firmup_firmware::crc::crc32;
 use firmup_firmware::durable::{fnv1a_64, write_atomic};
 use firmup_firmware::index::{
     append_journal, index_path, journal_path, manifest_path, parse_journal, push_varint,
-    read_container, read_manifest, read_table, read_varint, record_bytes, segment_file_name,
-    segments_dir, write_container, write_container_v2, IndexError, JournalEntry, Record,
-    TableEntry, FORMAT_V2,
+    read_manifest, read_table, read_varint, record_bytes, segment_file_name, segments_dir,
+    write_container_v2, IndexError, JournalEntry, Record, TableEntry,
 };
 use firmup_isa::Arch;
 
@@ -85,38 +83,65 @@ use crate::error::{FaultCtx, FirmUpError};
 use crate::intern::StrandInterner;
 use crate::sim::{ExecutableRep, GlobalContext, ProcedureRep, StrandPostings};
 
-/// How a [`CorpusIndex`] holds its executables: fully decoded, or as
-/// byte ranges into the loaded container blob that decode on first use.
-#[derive(Debug, Clone)]
-enum RepStore {
-    /// Every rep decoded, in corpus order (built in memory, or loaded
-    /// via the eager path).
-    Eager(Vec<ExecutableRep>),
-    /// One container blob per source (the base file, then each live
-    /// segment) plus one table entry per executable; slot `i` is
-    /// populated the first time executable `i` is needed.
-    Lazy {
-        blobs: Vec<Vec<u8>>,
-        entries: Vec<LazyExe>,
-        slots: Vec<OnceLock<ExecutableRep>>,
-    },
+/// How a [`CorpusIndex`] holds its executables: one container blob per
+/// source (the base file, then each live segment) plus one entry and
+/// one slot per executable. Slot `i` is filled the first time
+/// executable `i` is needed — or up front, for reps built in memory.
+#[derive(Debug, Clone, Default)]
+struct RepStore {
+    blobs: Vec<Vec<u8>>,
+    entries: Vec<LazyExe>,
+    slots: Vec<OnceLock<ExecutableRep>>,
 }
 
-/// The cheap, always-available identity of a lazily held executable:
-/// what `exemeta` records, plus where the full payload lives. A `None`
-/// table means the slot was pre-decoded at open time (a segment
-/// without lazy sidecars) and never needs its blob again.
+impl RepStore {
+    /// Hold an already decoded rep in a pre-filled slot.
+    fn push_decoded(&mut self, rep: ExecutableRep) {
+        self.entries.push(LazyExe {
+            id: rep.id.clone(),
+            arch: rep.arch,
+            payload: None,
+        });
+        self.slots.push(OnceLock::from(rep));
+    }
+
+    /// Hold one container blob and its executables as undecoded byte
+    /// ranges into it.
+    ///
+    /// Telemetry: adds the blob length to `index.bytes_mapped`.
+    fn push_blob(&mut self, blob: Vec<u8>, exes: Vec<ExeRow>) {
+        firmup_telemetry::add("index.bytes_mapped", blob.len() as u64);
+        let bi = self.blobs.len();
+        self.blobs.push(blob);
+        for (id, arch, table) in exes {
+            self.entries.push(LazyExe {
+                id,
+                arch,
+                payload: Some((bi, table)),
+            });
+            self.slots.push(OnceLock::new());
+        }
+    }
+}
+
+/// The cheap, always-available identity of an executable: what
+/// `exemeta` records, plus where the full payload lives (blob index and
+/// table entry). `None` means the slot was filled at construction (an
+/// in-memory build) and has no blob behind it.
 #[derive(Debug, Clone)]
 struct LazyExe {
     id: String,
     arch: Arch,
-    blob: usize,
-    table: Option<TableEntry>,
+    payload: Option<(usize, TableEntry)>,
 }
 
-/// One persisted query record's payload: held as bytes (built in memory
-/// or read eagerly) or as a table entry into the lazily loaded base blob,
-/// and decoded only when a scan asks for it.
+/// One executable as the record table describes it: `exemeta` identity
+/// plus the table entry of its `exe:<i>` payload.
+type ExeRow = (String, Arch, TableEntry);
+
+/// One persisted query record's payload: held as bytes (set in memory)
+/// or as a table entry into the base blob, and decoded only when a scan
+/// asks for it.
 #[derive(Debug, Clone)]
 enum QueryBytes {
     Owned(Vec<u8>),
@@ -168,9 +193,8 @@ const QUERY_PREFIX: &str = "query:";
 ///     }],
 /// };
 /// let index = CorpusIndex::build(vec![exe]);
-/// let blob = index.to_bytes();
-/// let back = CorpusIndex::from_bytes(&blob).unwrap();
-/// assert_eq!(back.get(0).procedures[0].strands, vec![3, 5, 8]);
+/// let back = CorpusIndex::from_bytes(index.to_bytes()).unwrap();
+/// assert_eq!(back.try_get(0).unwrap().procedures[0].strands, vec![3, 5, 8]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CorpusIndex {
@@ -185,9 +209,8 @@ pub struct CorpusIndex {
     /// strand by its rank ([`StrandId`](crate::intern::StrandId)).
     /// Every decoded rep and the context are interned against it, so
     /// game-phase similarity compares dense `u32` ids instead of `u64`
-    /// hashes. Persisted as the `intern` record; rebuilt from the
-    /// context's key set (counted in `index.interner_rebuilt`) when a
-    /// pre-interning file lacks it.
+    /// hashes. Always derived from [`CorpusIndex::postings`]' key set,
+    /// never persisted.
     pub interner: Arc<StrandInterner>,
     /// Digests of the images folded into this corpus (base file seals
     /// plus any live segments unioned at open). Empty for indexes that
@@ -222,34 +245,56 @@ impl Borrow<ExecutableRep> for RepAt<'_> {
     }
 }
 
+/// The corpus interner: the sorted, unique set of every strand in the
+/// corpus — by construction exactly the postings table's key set. The
+/// one rule every constructor (build, decode, segment union) follows.
+fn interner_of(postings: &StrandPostings) -> Arc<StrandInterner> {
+    Arc::new(StrandInterner::from_sorted(postings.keys().to_vec()))
+}
+
 impl CorpusIndex {
-    /// Build the derived structures over a set of canonicalized
-    /// executables (the in-memory path a cold scan takes, and the final
-    /// step of `firmup index`).
-    pub fn build(mut executables: Vec<ExecutableRep>) -> CorpusIndex {
-        let _span = firmup_telemetry::span!("index.build");
-        let interner = Arc::new(StrandInterner::from_hashes(
-            executables
-                .iter()
-                .flat_map(|e| e.procedures.iter())
-                .flat_map(|p| p.strands.iter().copied()),
-        ));
-        for e in &mut executables {
-            e.intern_with(&interner);
-        }
-        let mut context = GlobalContext::build(&executables);
+    /// Assemble an index around its derived structures: derive the
+    /// interner from `postings` and attach it to `context`.
+    fn assemble(
+        store: RepStore,
+        mut context: GlobalContext,
+        postings: StrandPostings,
+        seals: Vec<u64>,
+        queries: Vec<(String, QueryBytes)>,
+    ) -> CorpusIndex {
+        let interner = interner_of(&postings);
         context.attach_interner(&interner);
-        let postings = StrandPostings::build(&executables);
         CorpusIndex {
-            store: RepStore::Eager(executables),
+            store,
             context: Arc::new(context),
             postings,
             interner,
-            seals: Vec::new(),
-            queries: Vec::new(),
+            seals,
+            queries,
             seg_epoch: 0,
             seg_count: 0,
         }
+    }
+
+    /// Build the derived structures over a set of canonicalized
+    /// executables (the in-memory path a cold scan takes, and the final
+    /// step of `firmup index`).
+    pub fn build(executables: Vec<ExecutableRep>) -> CorpusIndex {
+        let _span = firmup_telemetry::span!("index.build");
+        let context = GlobalContext::build(&executables);
+        let postings = StrandPostings::build(&executables);
+        let mut index = CorpusIndex::assemble(
+            RepStore::default(),
+            context,
+            postings,
+            Vec::new(),
+            Vec::new(),
+        );
+        for mut e in executables {
+            e.intern_with(&index.interner);
+            index.store.push_decoded(e);
+        }
+        index
     }
 
     /// Digests of the images folded into this corpus, in ingestion
@@ -263,7 +308,7 @@ impl CorpusIndex {
     /// Replace the seal list (used by builders that know the image
     /// digests of everything they folded in — `firmup index` and
     /// `compact`). Serialized as the `seals` record, omitted when
-    /// empty so pre-incremental blobs stay byte-identical.
+    /// empty.
     pub fn set_seals(&mut self, seals: Vec<u64>) {
         self.seals = seals;
     }
@@ -274,7 +319,7 @@ impl CorpusIndex {
     }
 
     /// Decode the persisted query record `name`; `None` when the index
-    /// carries no such record. Lazily held records are read (and their
+    /// carries no such record. Mapped records are read (and their
     /// container CRC verified) here, on first use.
     ///
     /// # Errors
@@ -304,12 +349,11 @@ impl CorpusIndex {
     }
 
     fn query_payload<'a>(&'a self, bytes: &'a QueryBytes) -> Result<&'a [u8], IndexError> {
-        match (bytes, &self.store) {
-            (QueryBytes::Owned(b), _) => Ok(b),
-            (QueryBytes::Mapped(t), RepStore::Lazy { blobs, .. }) => record_bytes(&blobs[0], t),
-            (QueryBytes::Mapped(_), RepStore::Eager(_)) => {
-                Err(malformed("mapped query record without a blob"))
-            }
+        match bytes {
+            QueryBytes::Owned(b) => Ok(b),
+            // Only `from_bytes` maps query records, always into the
+            // base blob it pushed first.
+            QueryBytes::Mapped(t) => record_bytes(&self.store.blobs[0], t),
         }
     }
 
@@ -326,21 +370,12 @@ impl CorpusIndex {
 
     /// Number of executables in the corpus (decoded or not).
     pub fn len(&self) -> usize {
-        match &self.store {
-            RepStore::Eager(v) => v.len(),
-            RepStore::Lazy { entries, .. } => entries.len(),
-        }
+        self.store.entries.len()
     }
 
     /// Whether the corpus is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether this index decodes executables on demand (a v2 file
-    /// opened via [`CorpusIndex::open`]) rather than holding them all.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.store, RepStore::Lazy { .. })
     }
 
     /// Executable `i`'s id, without decoding its payload.
@@ -349,10 +384,7 @@ impl CorpusIndex {
     ///
     /// If `i >= self.len()`.
     pub fn exe_id(&self, i: usize) -> &str {
-        match &self.store {
-            RepStore::Eager(v) => &v[i].id,
-            RepStore::Lazy { entries, .. } => &entries[i].id,
-        }
+        &self.store.entries[i].id
     }
 
     /// Executable `i`'s architecture, without decoding its payload.
@@ -361,36 +393,30 @@ impl CorpusIndex {
     ///
     /// If `i >= self.len()`.
     pub fn exe_arch(&self, i: usize) -> Arch {
-        match &self.store {
-            RepStore::Eager(v) => v[i].arch,
-            RepStore::Lazy { entries, .. } => entries[i].arch,
-        }
+        self.store.entries[i].arch
     }
 
-    /// Executable `i`, which must already be decoded (always true for
-    /// an eager store; after [`CorpusIndex::ensure_decoded`] for a lazy
+    /// Executable `i`, which must already be decoded (always true for a
+    /// built index; after [`CorpusIndex::ensure_decoded`] for a decoded
     /// one). The infallible accessor the scan's inner loop and
     /// [`RepAt`] use.
     ///
     /// # Panics
     ///
-    /// If `i` is out of range, or the slot is lazy and undecoded — a
-    /// programming error (a candidate reached the play phase without
-    /// going through `ensure_decoded`).
+    /// If `i` is out of range, or the slot is undecoded — a programming
+    /// error (a candidate reached the play phase without going through
+    /// `ensure_decoded`).
     pub fn get(&self, i: usize) -> &ExecutableRep {
-        match &self.store {
-            RepStore::Eager(v) => &v[i],
-            RepStore::Lazy { slots, .. } => slots[i]
-                .get()
-                .unwrap_or_else(|| panic!("executable {i} not decoded; ensure_decoded first")),
-        }
+        self.store.slots[i]
+            .get()
+            .unwrap_or_else(|| panic!("executable {i} not decoded; ensure_decoded first"))
     }
 
-    /// Executable `i`, decoding (and caching) it if this is a lazy
-    /// store. Concurrent calls may race to decode the same slot; the
-    /// loser's work is discarded — wasteful but correct, and the scan
-    /// path avoids it by batching through
-    /// [`CorpusIndex::ensure_decoded`] before going parallel.
+    /// Executable `i`, decoding (and caching) it on first use.
+    /// Concurrent calls may race to decode the same slot; the loser's
+    /// work is discarded — wasteful but correct, and the scan path
+    /// avoids it by batching through [`CorpusIndex::ensure_decoded`]
+    /// before going parallel.
     ///
     /// Telemetry: each payload actually decoded adds one
     /// `index.reps_decoded`.
@@ -404,38 +430,25 @@ impl CorpusIndex {
     ///
     /// If `i >= self.len()`.
     pub fn try_get(&self, i: usize) -> Result<&ExecutableRep, IndexError> {
-        match &self.store {
-            RepStore::Eager(v) => Ok(&v[i]),
-            RepStore::Lazy {
-                blobs,
-                entries,
-                slots,
-            } => {
-                if let Some(rep) = slots[i].get() {
-                    return Ok(rep);
-                }
-                let table = entries[i]
-                    .table
-                    .as_ref()
-                    .ok_or_else(|| malformed("pre-decoded slot lost its value"))?;
-                let bytes = record_bytes(&blobs[entries[i].blob], table)?;
-                let mut rep = decode_executable(bytes)?;
-                rep.intern_with(&self.interner);
-                firmup_telemetry::incr("index.reps_decoded");
-                // A concurrent decoder may have won the race; either
-                // value is identical, so keep whichever landed.
-                let _ = slots[i].set(rep);
-                slots[i]
-                    .get()
-                    .ok_or_else(|| malformed("decoded slot vanished"))
-            }
+        let slot = &self.store.slots[i];
+        if let Some(rep) = slot.get() {
+            return Ok(rep);
         }
+        let (blob, table) = self.store.entries[i]
+            .payload
+            .as_ref()
+            .ok_or_else(|| malformed("pre-decoded slot lost its value"))?;
+        let mut rep = decode_executable(record_bytes(&self.store.blobs[*blob], table)?)?;
+        rep.intern_with(&self.interner);
+        firmup_telemetry::incr("index.reps_decoded");
+        // A concurrent decoder may have won the race; either value is
+        // identical, so keep whichever landed.
+        Ok(slot.get_or_init(|| rep))
     }
 
     /// Decode every executable in `indices` (the scan's candidate set),
     /// so subsequent [`CorpusIndex::get`] / [`RepAt`] borrows are
-    /// infallible. A no-op on eager stores and for already-decoded
-    /// slots.
+    /// infallible. A no-op for already-decoded slots.
     ///
     /// # Errors
     ///
@@ -450,9 +463,9 @@ impl CorpusIndex {
         Ok(())
     }
 
-    /// Decode everything — the lazy store's escape hatch for callers
-    /// that genuinely need the whole corpus (re-serialization, fsck
-    /// rebuilds, whole-corpus diffs).
+    /// Decode everything — for callers that genuinely need the whole
+    /// corpus (re-serialization, fsck rebuilds, whole-corpus diffs) or
+    /// must know every payload verifies before using the index.
     ///
     /// # Errors
     ///
@@ -485,247 +498,69 @@ impl CorpusIndex {
         (0..k).map(|i| (i * n / k)..((i + 1) * n / k)).collect()
     }
 
-    /// The typed records every format version shares; v2 additionally
-    /// writes `exemeta` so lazy readers can skip the exe payloads, the
-    /// `intern` hash list, and `postings2` (varint-delta compressed)
-    /// instead of the fixed-width legacy `postings`.
+    /// The typed records, in container order.
     ///
     /// # Panics
     ///
-    /// On a lazy store with undecoded slots (callers re-serializing a
-    /// lazy index must [`CorpusIndex::ensure_all`] first).
-    fn typed_records(&self, v2: bool) -> Vec<Record> {
+    /// With undecoded slots (callers re-serializing a decoded index
+    /// must [`CorpusIndex::ensure_all`] first).
+    fn typed_records(&self) -> Vec<Record> {
         let n = self.len();
-        let mut records = Vec::with_capacity(n + 6);
+        let mut records = Vec::with_capacity(n + self.queries.len() + 5);
         records.push(Record::new("meta", (n as u32).to_le_bytes().to_vec()));
         if !self.seals.is_empty() {
             records.push(Record::new("seals", encode_seals(&self.seals)));
         }
-        if v2 {
-            records.push(Record::new("exemeta", encode_exemeta(self)));
-        }
+        records.push(Record::new("exemeta", encode_exemeta(self)));
         for i in 0..n {
             records.push(Record::new(
                 format!("exe:{i}"),
                 encode_executable(self.get(i)),
             ));
         }
-        if v2 {
-            // A lazily held record whose bytes no longer verify is
-            // dropped: readers rebuild an absent query anyway.
-            for (name, bytes) in &self.queries {
-                if let Ok(payload) = self.query_payload(bytes) {
-                    records.push(Record::new(name.clone(), payload.to_vec()));
-                }
+        // A mapped record whose bytes no longer verify is dropped:
+        // readers rebuild an absent query anyway.
+        for (name, bytes) in &self.queries {
+            if let Ok(payload) = self.query_payload(bytes) {
+                records.push(Record::new(name.clone(), payload.to_vec()));
             }
         }
         records.push(Record::new("context", encode_context(&self.context)));
-        if v2 {
-            records.push(Record::new("intern", encode_interner(&self.interner)));
-            records.push(Record::new("postings2", encode_postings2(&self.postings)));
-        } else {
-            records.push(Record::new("postings", encode_postings(&self.postings)));
-        }
+        records.push(Record::new("postings2", encode_postings2(&self.postings)));
         records
     }
 
-    /// Serialize into a FUIX v2 container blob (offset table + `exemeta`
-    /// record, so readers may load it lazily).
+    /// Serialize into a FUIX container blob.
     ///
     /// # Panics
     ///
-    /// On a lazy store with undecoded slots; [`CorpusIndex::ensure_all`]
-    /// first.
+    /// With undecoded slots; [`CorpusIndex::ensure_all`] first.
     pub fn to_bytes(&self) -> Vec<u8> {
-        write_container_v2(&self.typed_records(true))
+        write_container_v2(&self.typed_records())
     }
 
-    /// Serialize into the historical FUIX v1 container (byte-identical
-    /// to what pre-v2 builds wrote) — the back-compat escape hatch for
-    /// producing indexes older readers can load.
+    /// Decode a FUIX blob — the one decoder of corpus files: verify the
+    /// record table, decode `meta`/`exemeta`/`context`/`postings2`, and
+    /// hold every `exe:<i>` as an unverified byte range until first use
+    /// ([`CorpusIndex::try_get`]; [`CorpusIndex::ensure_all`] verifies
+    /// everything).
     ///
-    /// # Panics
-    ///
-    /// On a lazy store with undecoded slots; [`CorpusIndex::ensure_all`]
-    /// first.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        write_container(&self.typed_records(false))
-    }
-
-    /// Decode from a FUIX container blob, eagerly (v1 or v2).
+    /// Telemetry: adds the blob length to `index.bytes_mapped`.
     ///
     /// # Errors
     ///
-    /// Any container-level damage surfaces as the [`IndexError`] the
-    /// byte layer diagnosed; a record that parses as a container but
-    /// whose typed payload is inconsistent (missing records, undecodable
-    /// fields, unsorted strand vectors) is [`IndexError::Malformed`].
-    pub fn from_bytes(blob: &[u8]) -> Result<CorpusIndex, IndexError> {
-        let records = read_container(blob)?;
-        let mut count: Option<u32> = None;
-        let mut exes: Vec<Option<ExecutableRep>> = Vec::new();
-        let mut context: Option<GlobalContext> = None;
-        let mut postings: Option<StrandPostings> = None;
-        let mut intern: Option<Vec<u64>> = None;
-        let mut seals: Vec<u64> = Vec::new();
-        let mut queries: Vec<(String, QueryBytes)> = Vec::new();
-        for r in records {
-            if r.name == "meta" {
-                let mut pos = 0;
-                count = Some(get_u32(&r.payload, &mut pos, "meta record")?);
-            } else if r.name == "seals" {
-                seals = decode_seals(&r.payload)?;
-            } else if let Some(i) = r.name.strip_prefix("exe:") {
-                let i: usize = i.parse().map_err(|_| malformed("bad exe record name"))?;
-                if i >= exes.len() {
-                    exes.resize_with(i + 1, || None);
-                }
-                exes[i] = Some(decode_executable(&r.payload)?);
-            } else if r.name == "context" {
-                context = Some(decode_context(&r.payload)?);
-            } else if r.name == "intern" {
-                intern = Some(decode_interner(&r.payload)?);
-            } else if r.name == "postings" {
-                postings = Some(decode_postings(&r.payload)?);
-            } else if r.name == "postings2" {
-                postings = Some(decode_postings2(&r.payload)?);
-            } else if r.name.starts_with(QUERY_PREFIX) {
-                queries.push((r.name, QueryBytes::Owned(r.payload)));
-            }
-            // Unknown record names (including exemeta, which the eager
-            // path has no use for) are additive extensions: skip.
-        }
-        queries.sort_by(|a, b| a.0.cmp(&b.0));
-        let count = count.ok_or_else(|| malformed("missing meta record"))? as usize;
-        if exes.len() != count {
-            return Err(malformed(&format!(
-                "meta declares {count} executables, found {}",
-                exes.len()
-            )));
-        }
-        let mut executables: Vec<ExecutableRep> = exes
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| e.ok_or_else(|| malformed(&format!("missing record exe:{i}"))))
-            .collect::<Result<_, _>>()?;
-        let mut context = context.ok_or_else(|| malformed("missing context record"))?;
-        let postings = postings.ok_or_else(|| malformed("missing postings record"))?;
-        let interner = Arc::new(interner_or_rebuild(intern, &context));
-        for e in &mut executables {
-            e.intern_with(&interner);
-        }
-        context.attach_interner(&interner);
-        Ok(CorpusIndex {
-            store: RepStore::Eager(executables),
-            context: Arc::new(context),
-            postings,
-            interner,
-            seals,
-            queries,
-            seg_epoch: 0,
-            seg_count: 0,
-        })
-    }
-
-    /// Decode a FUIX v2 blob lazily: verify the offset table, decode
-    /// `meta`/`exemeta`/`context`/`postings`, and hold every `exe:<i>`
-    /// as an unverified byte range until first use. A v1 blob (no
-    /// offset table semantics worth exploiting, no `exemeta`) falls
-    /// back to the eager [`CorpusIndex::from_bytes`].
-    ///
-    /// Telemetry: adds the blob length to `index.bytes_mapped` when the
-    /// lazy path is taken.
-    ///
-    /// # Errors
-    ///
-    /// Structured [`IndexError`]s for a damaged header, offset table,
-    /// or any eagerly read record; a v2 file missing `exemeta` (or with
-    /// counts disagreeing with `meta`) is [`IndexError::Malformed`].
-    pub fn from_bytes_lazy(blob: Vec<u8>) -> Result<CorpusIndex, IndexError> {
-        let (version, table) = read_table(&blob)?;
-        if version < FORMAT_V2 {
-            return CorpusIndex::from_bytes(&blob);
-        }
-        let mut count: Option<u32> = None;
-        let mut identities: Option<Vec<(String, Arch)>> = None;
-        let mut context: Option<GlobalContext> = None;
-        let mut postings: Option<StrandPostings> = None;
-        let mut intern: Option<Vec<u64>> = None;
-        let mut exe_tables: Vec<Option<TableEntry>> = Vec::new();
-        let mut seals: Vec<u64> = Vec::new();
-        let mut queries: Vec<(String, QueryBytes)> = Vec::new();
-        for e in &table {
-            if e.name == "meta" {
-                let payload = record_bytes(&blob, e)?;
-                let mut pos = 0;
-                count = Some(get_u32(payload, &mut pos, "meta record")?);
-            } else if e.name == "seals" {
-                seals = decode_seals(record_bytes(&blob, e)?)?;
-            } else if e.name == "exemeta" {
-                identities = Some(decode_exemeta(record_bytes(&blob, e)?)?);
-            } else if let Some(i) = e.name.strip_prefix("exe:") {
-                let i: usize = i.parse().map_err(|_| malformed("bad exe record name"))?;
-                if i >= exe_tables.len() {
-                    exe_tables.resize_with(i + 1, || None);
-                }
-                exe_tables[i] = Some(e.clone());
-            } else if e.name == "context" {
-                context = Some(decode_context(record_bytes(&blob, e)?)?);
-            } else if e.name == "intern" {
-                intern = Some(decode_interner(record_bytes(&blob, e)?)?);
-            } else if e.name == "postings" {
-                postings = Some(decode_postings(record_bytes(&blob, e)?)?);
-            } else if e.name == "postings2" {
-                postings = Some(decode_postings2(record_bytes(&blob, e)?)?);
-            } else if e.name.starts_with(QUERY_PREFIX) {
-                queries.push((e.name.clone(), QueryBytes::Mapped(e.clone())));
-            }
-        }
-        queries.sort_by(|a, b| a.0.cmp(&b.0));
-        let count = count.ok_or_else(|| malformed("missing meta record"))? as usize;
-        let identities =
-            identities.ok_or_else(|| malformed("v2 container missing exemeta record"))?;
-        if exe_tables.len() != count || identities.len() != count {
-            return Err(malformed(&format!(
-                "meta declares {count} executables, found {} payloads / {} identities",
-                exe_tables.len(),
-                identities.len()
-            )));
-        }
-        let entries: Vec<LazyExe> = identities
-            .into_iter()
-            .zip(exe_tables)
-            .enumerate()
-            .map(|(i, ((id, arch), t))| {
-                let table = t.ok_or_else(|| malformed(&format!("missing record exe:{i}")))?;
-                Ok(LazyExe {
-                    id,
-                    arch,
-                    blob: 0,
-                    table: Some(table),
-                })
-            })
-            .collect::<Result<_, IndexError>>()?;
-        let mut context = context.ok_or_else(|| malformed("missing context record"))?;
-        let postings = postings.ok_or_else(|| malformed("missing postings record"))?;
-        let interner = Arc::new(interner_or_rebuild(intern, &context));
-        context.attach_interner(&interner);
-        firmup_telemetry::add("index.bytes_mapped", blob.len() as u64);
-        let slots = (0..count).map(|_| OnceLock::new()).collect();
-        Ok(CorpusIndex {
-            store: RepStore::Lazy {
-                blobs: vec![blob],
-                entries,
-                slots,
-            },
-            context: Arc::new(context),
-            postings,
-            interner,
-            seals,
-            queries,
-            seg_epoch: 0,
-            seg_count: 0,
-        })
+    /// Structured [`IndexError`]s for a damaged header or record table,
+    /// a format version other than 2
+    /// ([`IndexError::UnsupportedVersion`]), or any eagerly read
+    /// record; a missing required record or counts disagreeing with
+    /// `meta` is [`IndexError::Malformed`].
+    pub fn from_bytes(blob: Vec<u8>) -> Result<CorpusIndex, IndexError> {
+        let c = read_contents(&blob)?;
+        let mut store = RepStore::default();
+        store.push_blob(blob, c.exes);
+        Ok(CorpusIndex::assemble(
+            store, c.context, c.postings, c.seals, c.queries,
+        ))
     }
 
     /// Write the index into `dir` (created if needed) as
@@ -747,11 +582,37 @@ impl CorpusIndex {
         Ok(())
     }
 
-    /// Load the index from `dir`.
+    /// Load the index from `dir` with every payload verified and
+    /// decoded: [`CorpusIndex::open`] followed by
+    /// [`CorpusIndex::ensure_all`]. What a caller uses when a damaged
+    /// file must fail *now* — a `serve` reload rejects it before
+    /// swapping snapshots — rather than at the first scan that touches
+    /// the damaged executable.
     ///
-    /// Telemetry: a successful load runs under an `index.load` span and
+    /// # Errors
+    ///
+    /// As [`CorpusIndex::open`], plus the [`IndexError`] of the first
+    /// payload that fails to verify or decode, with the path of
+    /// `corpus.fui` in its [`FaultCtx`] (live segments are verified
+    /// whole at open, so only base-file payloads can fail here).
+    pub fn load(dir: &Path) -> Result<CorpusIndex, FirmUpError> {
+        let index = CorpusIndex::open(dir)?;
+        index.ensure_all().map_err(|e| {
+            FirmUpError::from(e).in_ctx(FaultCtx::image(index_path(dir).display().to_string()))
+        })?;
+        Ok(index)
+    }
+
+    /// Open the index from `dir` — the scan-time entry point: postings,
+    /// context, and executable identities load now; procedure payloads
+    /// load when a scan's candidate set demands them. Live segments
+    /// named by the directory's manifest are unioned in (their payloads
+    /// stay undecoded too).
+    ///
+    /// Telemetry: a successful open runs under an `index.load` span,
     /// adds one `index.cache_hit` per executable restored (the unpack /
-    /// lift / canonicalize work the cache saved).
+    /// lift / canonicalize work the cache saved), and adds every blob
+    /// held to `index.bytes_mapped`.
     ///
     /// # Errors
     ///
@@ -759,33 +620,10 @@ impl CorpusIndex {
     /// is [`IndexError::Truncated`] — distinct structured diagnoses
     /// (the first means "never built", the second "a write died"), both
     /// surfaced as [`FirmUpError::Index`]. Other unreadable files are
-    /// [`FirmUpError::Io`]; damaged ones wrap the byte-level
-    /// [`IndexError`]. All carry the file path in their [`FaultCtx`].
-    pub fn load(dir: &Path) -> Result<CorpusIndex, FirmUpError> {
-        CorpusIndex::open_dir(dir, true)
-    }
-
-    /// Open the index from `dir`, lazily when the file is v2 (eagerly
-    /// for v1) — the preferred scan-time entry point: postings, context,
-    /// and executable identities load now; procedure payloads load when
-    /// a scan's candidate set demands them. Live segments named by the
-    /// directory's manifest are unioned in (their payloads stay lazy
-    /// too when they carry the v2 sidecars).
-    ///
-    /// Telemetry and errors match [`CorpusIndex::load`], plus
-    /// `index.bytes_mapped` on the lazy path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CorpusIndex::load`].
+    /// [`FirmUpError::Io`]; damaged ones (including a file in a format
+    /// version other than 2) wrap the byte-level [`IndexError`]. All
+    /// carry the file path in their [`FaultCtx`].
     pub fn open(dir: &Path) -> Result<CorpusIndex, FirmUpError> {
-        CorpusIndex::open_dir(dir, false)
-    }
-
-    /// The shared directory entry point behind [`CorpusIndex::load`]
-    /// (eager) and [`CorpusIndex::open`] (lazy): read `corpus.fui`,
-    /// then union every live segment the manifest names.
-    fn open_dir(dir: &Path, eager: bool) -> Result<CorpusIndex, FirmUpError> {
         let _span = firmup_telemetry::span!("index.load");
         let path = index_path(dir);
         let ctx = FaultCtx::image(path.display().to_string());
@@ -805,11 +643,8 @@ impl CorpusIndex {
             })
             .in_ctx(ctx));
         }
-        let mut index = if eager {
-            CorpusIndex::from_bytes(&blob).map_err(|e| FirmUpError::from(e).in_ctx(ctx))?
-        } else {
-            CorpusIndex::from_bytes_lazy(blob).map_err(|e| FirmUpError::from(e).in_ctx(ctx))?
-        };
+        let mut index =
+            CorpusIndex::from_bytes(blob).map_err(|e| FirmUpError::from(e).in_ctx(ctx))?;
         let manifest_ctx = FaultCtx::image(manifest_path(dir).display().to_string());
         let manifest = read_manifest(dir).map_err(|e| FirmUpError::from(e).in_ctx(manifest_ctx))?;
         if let Some(m) = manifest {
@@ -830,7 +665,7 @@ impl CorpusIndex {
         Ok(index)
     }
 
-    /// Fold each live segment into the loaded base, in manifest order:
+    /// Fold each live segment into the opened base, in manifest order:
     /// append its executables, add its document frequencies, and merge
     /// its posting lists with local executable positions rebased by the
     /// running corpus size. Rebasing preserves every list's `(exe,
@@ -870,119 +705,35 @@ impl CorpusIndex {
                 .in_ctx(ctx));
             }
             let offset = self.len() as u32;
-            let parts = decode_segment_parts(blob, !self.is_lazy())
-                .map_err(|e| FirmUpError::from(e).in_ctx(ctx))?;
-            docs += parts.docs;
-            for (s, n) in parts.df {
+            let c = read_contents(&blob).map_err(|e| FirmUpError::from(e).in_ctx(ctx))?;
+            docs += c.context.docs();
+            for (s, n) in c.context.entries() {
                 *df.entry(s).or_default() += n;
             }
-            for (s, sites) in parts.postings {
+            for (s, sites) in c.postings.entries() {
                 post.entry(s)
                     .or_default()
-                    .extend(sites.into_iter().map(|(e, p)| (e + offset, p)));
+                    .extend(sites.iter().map(|&(e, p)| (e + offset, p)));
             }
-            self.push_segment_store(parts.store);
+            self.store.push_blob(blob, c.exes);
             self.seals.push(entry.digest);
         }
-        // The unioned strand set differs from the base's: freeze a new
-        // interner over it (df keys are exactly the union's strand set)
-        // and re-intern everything already decoded. Lazily held reps
-        // intern against the new interner when they decode.
-        let interner = Arc::new(StrandInterner::from_hashes(df.keys().copied()));
+        // The unioned strand set differs from the base's: rebuild the
+        // context and postings, derive a new interner from the merged
+        // keys, and re-intern everything already decoded. Undecoded
+        // reps intern against the new interner when they decode.
+        let postings = StrandPostings::from_entries(post);
+        let interner = interner_of(&postings);
         let mut context = GlobalContext::from_entries(docs, df);
         context.attach_interner(&interner);
         self.context = Arc::new(context);
-        self.postings = StrandPostings::from_entries(post);
+        self.postings = postings;
         self.interner = interner;
-        self.reintern_decoded();
-        Ok(())
-    }
-
-    /// Re-intern every already-decoded executable against the current
-    /// [`CorpusIndex::interner`] (after a segment union replaced it).
-    fn reintern_decoded(&mut self) {
-        let interner = self.interner.clone();
-        match &mut self.store {
-            RepStore::Eager(v) => {
-                for e in v {
-                    e.intern_with(&interner);
-                }
-            }
-            RepStore::Lazy { slots, .. } => {
-                for slot in slots {
-                    if let Some(rep) = slot.get_mut() {
-                        rep.intern_with(&interner);
-                    }
-                }
+        for slot in &mut self.store.slots {
+            if let Some(rep) = slot.get_mut() {
+                rep.intern_with(&self.interner);
             }
         }
-    }
-
-    /// Append one decoded segment's executables to this index's store,
-    /// keeping the store's eager/lazy shape.
-    fn push_segment_store(&mut self, parts: SegmentStore) {
-        match (&mut self.store, parts) {
-            (RepStore::Eager(v), SegmentStore::Decoded(reps)) => v.extend(reps),
-            (RepStore::Lazy { entries, slots, .. }, SegmentStore::Decoded(reps)) => {
-                // A segment without lazy sidecars under a lazy base:
-                // hold the already-decoded reps in pre-filled slots.
-                for rep in reps {
-                    entries.push(LazyExe {
-                        id: rep.id.clone(),
-                        arch: rep.arch,
-                        blob: 0,
-                        table: None,
-                    });
-                    let slot = OnceLock::new();
-                    let _ = slot.set(rep);
-                    slots.push(slot);
-                }
-            }
-            (
-                RepStore::Lazy {
-                    blobs,
-                    entries,
-                    slots,
-                },
-                SegmentStore::Lazy {
-                    blob,
-                    identities,
-                    tables,
-                },
-            ) => {
-                let bi = blobs.len();
-                firmup_telemetry::add("index.bytes_mapped", blob.len() as u64);
-                blobs.push(blob);
-                for ((id, arch), table) in identities.into_iter().zip(tables) {
-                    entries.push(LazyExe {
-                        id,
-                        arch,
-                        blob: bi,
-                        table: Some(table),
-                    });
-                    slots.push(OnceLock::new());
-                }
-            }
-            (RepStore::Eager(_), SegmentStore::Lazy { .. }) => {
-                unreachable!("eager open never requests lazy segment parts")
-            }
-        }
-    }
-
-    /// Write the index into `dir` in the historical v1 layout — see
-    /// [`CorpusIndex::to_bytes_v1`]. Same atomicity as
-    /// [`CorpusIndex::save`].
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failures surface as [`FirmUpError::Io`].
-    pub fn save_v1(&self, dir: &Path) -> Result<(), FirmUpError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| FirmUpError::from(e).in_ctx(FaultCtx::image(dir.display().to_string())))?;
-        let path = index_path(dir);
-        write_atomic(&path, &self.to_bytes_v1()).map_err(|e| {
-            FirmUpError::from(e).in_ctx(FaultCtx::image(path.display().to_string()))
-        })?;
         Ok(())
     }
 }
@@ -993,11 +744,86 @@ fn malformed(reason: &str) -> IndexError {
     }
 }
 
+/// What the record table of a corpus file or segment holds, with the
+/// small records decoded and every `exe:<i>` left as a table entry.
+struct Contents {
+    exes: Vec<ExeRow>,
+    context: GlobalContext,
+    postings: StrandPostings,
+    seals: Vec<u64>,
+    queries: Vec<(String, QueryBytes)>,
+}
+
+/// Parse a FUIX blob's record table and decode everything but the
+/// executable payloads — the one table parser behind
+/// [`CorpusIndex::from_bytes`], the segment union and
+/// [`segment_from_bytes`]. `meta`, `exemeta`, `context` and `postings2`
+/// are required (every corpus file and segment carries them); unknown
+/// names are skipped.
+fn read_contents(blob: &[u8]) -> Result<Contents, IndexError> {
+    let table = read_table(blob)?;
+    let mut count: Option<u32> = None;
+    let mut identities: Option<Vec<(String, Arch)>> = None;
+    let mut context: Option<GlobalContext> = None;
+    let mut postings: Option<StrandPostings> = None;
+    let mut exe_tables: Vec<Option<TableEntry>> = Vec::new();
+    let mut seals: Vec<u64> = Vec::new();
+    let mut queries: Vec<(String, QueryBytes)> = Vec::new();
+    for e in table {
+        if e.name == "meta" {
+            let mut pos = 0;
+            count = Some(get_u32(record_bytes(blob, &e)?, &mut pos, "meta record")?);
+        } else if e.name == "seals" {
+            seals = decode_seals(record_bytes(blob, &e)?)?;
+        } else if e.name == "exemeta" {
+            identities = Some(decode_exemeta(record_bytes(blob, &e)?)?);
+        } else if let Some(i) = e.name.strip_prefix("exe:") {
+            let i: usize = i.parse().map_err(|_| malformed("bad exe record name"))?;
+            if i >= exe_tables.len() {
+                exe_tables.resize_with(i + 1, || None);
+            }
+            exe_tables[i] = Some(e);
+        } else if e.name == "context" {
+            context = Some(decode_context(record_bytes(blob, &e)?)?);
+        } else if e.name == "postings2" {
+            postings = Some(decode_postings2(record_bytes(blob, &e)?)?);
+        } else if e.name.starts_with(QUERY_PREFIX) {
+            queries.push((e.name.clone(), QueryBytes::Mapped(e)));
+        }
+    }
+    queries.sort_by(|a, b| a.0.cmp(&b.0));
+    let count = count.ok_or_else(|| malformed("missing meta record"))? as usize;
+    let identities = identities.ok_or_else(|| malformed("missing exemeta record"))?;
+    if exe_tables.len() != count || identities.len() != count {
+        return Err(malformed(&format!(
+            "meta declares {count} executables, found {} payloads / {} identities",
+            exe_tables.len(),
+            identities.len()
+        )));
+    }
+    let exes = identities
+        .into_iter()
+        .zip(exe_tables)
+        .enumerate()
+        .map(|(i, ((id, arch), t))| {
+            let table = t.ok_or_else(|| malformed(&format!("missing record exe:{i}")))?;
+            Ok((id, arch, table))
+        })
+        .collect::<Result<_, IndexError>>()?;
+    Ok(Contents {
+        exes,
+        context: context.ok_or_else(|| malformed("missing context record"))?,
+        postings: postings.ok_or_else(|| malformed("missing postings2 record"))?,
+        seals,
+        queries,
+    })
+}
+
 // ---- per-image checkpoint segments ---------------------------------------
 
 /// Serialize one image's executables as a checkpoint segment: a FUIX
-/// v2 container holding `meta` + `exe:<i>` plus the mergeable sidecars
-/// (`exemeta`, per-segment `context` and `postings` with *local*
+/// container holding `meta` + `exe:<i>` plus the mergeable sidecars
+/// (`exemeta`, per-segment `context` and `postings2` with *local*
 /// executable positions) that let [`CorpusIndex::open`] union the
 /// segment without decoding its payloads. Derived structures are still
 /// rebuilt from scratch at finalize, so a resumed build and an
@@ -1026,144 +852,19 @@ pub fn segment_to_bytes(reps: &[ExecutableRep]) -> Vec<u8> {
     write_container_v2(&records)
 }
 
-/// How a segment's executables enter the loaded store.
-enum SegmentStore {
-    /// Fully decoded reps (eager open, or a segment without sidecars).
-    Decoded(Vec<ExecutableRep>),
-    /// The segment blob plus identity/table rows for lazy decode.
-    Lazy {
-        blob: Vec<u8>,
-        identities: Vec<(String, Arch)>,
-        tables: Vec<TableEntry>,
-    },
-}
-
-/// One segment's contribution to the union: its store shape plus the
-/// mergeable derived parts (document count, per-strand frequencies,
-/// posting lists with segment-local executable positions).
-struct SegmentParts {
-    store: SegmentStore,
-    docs: u32,
-    df: Vec<(u64, u32)>,
-    postings: Vec<(u64, Vec<(u32, u32)>)>,
-}
-
-/// Pull a segment apart for the union. With `eager` false and every
-/// sidecar present, payload records stay undecoded byte ranges; a
-/// segment missing any sidecar (e.g. written before segments carried
-/// them) falls back to a full decode and rebuilds the derived parts —
-/// [`GlobalContext::build`]/[`StrandPostings::build`] over the same
-/// reps produce identical entries, so the union is unaffected.
-fn decode_segment_parts(blob: Vec<u8>, eager: bool) -> Result<SegmentParts, IndexError> {
-    let (version, table) = read_table(&blob)?;
-    let mut count: Option<u32> = None;
-    let mut identities: Option<Vec<(String, Arch)>> = None;
-    let mut context: Option<GlobalContext> = None;
-    let mut postings: Option<StrandPostings> = None;
-    let mut exe_tables: Vec<Option<TableEntry>> = Vec::new();
-    if version >= FORMAT_V2 {
-        for e in &table {
-            if e.name == "meta" {
-                let payload = record_bytes(&blob, e)?;
-                let mut pos = 0;
-                count = Some(get_u32(payload, &mut pos, "segment meta")?);
-            } else if e.name == "exemeta" {
-                identities = Some(decode_exemeta(record_bytes(&blob, e)?)?);
-            } else if let Some(i) = e.name.strip_prefix("exe:") {
-                let i: usize = i.parse().map_err(|_| malformed("bad exe record name"))?;
-                if i >= exe_tables.len() {
-                    exe_tables.resize_with(i + 1, || None);
-                }
-                exe_tables[i] = Some(e.clone());
-            } else if e.name == "context" {
-                context = Some(decode_context(record_bytes(&blob, e)?)?);
-            } else if e.name == "postings" {
-                postings = Some(decode_postings(record_bytes(&blob, e)?)?);
-            } else if e.name == "postings2" {
-                postings = Some(decode_postings2(record_bytes(&blob, e)?)?);
-            }
-        }
-    }
-    match (identities, context, postings) {
-        (Some(identities), Some(context), Some(postings)) if !eager => {
-            let count = count.ok_or_else(|| malformed("segment missing meta record"))? as usize;
-            if exe_tables.len() != count || identities.len() != count {
-                return Err(malformed(&format!(
-                    "segment meta declares {count} executables, found {} payloads / {} identities",
-                    exe_tables.len(),
-                    identities.len()
-                )));
-            }
-            let tables: Vec<TableEntry> = exe_tables
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| t.ok_or_else(|| malformed(&format!("segment missing exe:{i}"))))
-                .collect::<Result<_, _>>()?;
-            Ok(SegmentParts {
-                docs: context.docs(),
-                df: context.entries(),
-                postings: postings
-                    .entries()
-                    .into_iter()
-                    .map(|(s, l)| (s, l.to_vec()))
-                    .collect(),
-                store: SegmentStore::Lazy {
-                    blob,
-                    identities,
-                    tables,
-                },
-            })
-        }
-        (_, context, postings) => {
-            let reps = segment_from_bytes(&blob)?;
-            let context = context.unwrap_or_else(|| GlobalContext::build(&reps));
-            let postings = postings.unwrap_or_else(|| StrandPostings::build(&reps));
-            Ok(SegmentParts {
-                docs: context.docs(),
-                df: context.entries(),
-                postings: postings
-                    .entries()
-                    .into_iter()
-                    .map(|(s, l)| (s, l.to_vec()))
-                    .collect(),
-                store: SegmentStore::Decoded(reps),
-            })
-        }
-    }
-}
-
-/// Decode a checkpoint segment back into its executables.
+/// Decode a checkpoint segment back into its executables, verifying
+/// every record.
 ///
 /// # Errors
 ///
-/// Container damage or a typed-payload inconsistency, as a structured
-/// [`IndexError`].
+/// Container damage or a typed-payload inconsistency (including a
+/// segment missing its `exemeta`/`context`/`postings2` sidecars), as a
+/// structured [`IndexError`].
 pub fn segment_from_bytes(blob: &[u8]) -> Result<Vec<ExecutableRep>, IndexError> {
-    let records = read_container(blob)?;
-    let mut count: Option<u32> = None;
-    let mut exes: Vec<Option<ExecutableRep>> = Vec::new();
-    for r in &records {
-        if r.name == "meta" {
-            let mut pos = 0;
-            count = Some(get_u32(&r.payload, &mut pos, "segment meta")?);
-        } else if let Some(i) = r.name.strip_prefix("exe:") {
-            let i: usize = i.parse().map_err(|_| malformed("bad exe record name"))?;
-            if i >= exes.len() {
-                exes.resize_with(i + 1, || None);
-            }
-            exes[i] = Some(decode_executable(&r.payload)?);
-        }
-    }
-    let count = count.ok_or_else(|| malformed("segment missing meta record"))? as usize;
-    if exes.len() != count {
-        return Err(malformed(&format!(
-            "segment meta declares {count} executables, found {}",
-            exes.len()
-        )));
-    }
-    exes.into_iter()
-        .enumerate()
-        .map(|(i, e)| e.ok_or_else(|| malformed(&format!("segment missing record exe:{i}"))))
+    read_contents(blob)?
+        .exes
+        .iter()
+        .map(|(_, _, table)| decode_executable(record_bytes(blob, table)?))
         .collect()
 }
 
@@ -1349,8 +1050,8 @@ impl IndexCheckpoint {
 // Same discipline as the container: little-endian fixed-width integers,
 // length-prefixed strings, every read bounds-checked. Payloads are
 // CRC-protected by the container, so decode errors here mean a *logic*
-// mismatch (or a version-1 reader meeting data only a future version
-// writes inside an existing record — which the format rules forbid).
+// mismatch (or a reader meeting data only a future writer puts inside an
+// existing record — which the format rules forbid).
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -1533,7 +1234,7 @@ pub fn decode_query_record(b: &[u8]) -> Result<QueryRecord, IndexError> {
 
 // ---- exemeta -------------------------------------------------------------
 //
-// The v2 sidecar that makes lazy loads possible: every executable's id
+// The sidecar that makes lazy loads possible: every executable's id
 // and arch in one small eagerly read record, so arch-grouping and
 // progress reporting never touch an exe payload.
 
@@ -1572,8 +1273,7 @@ fn decode_exemeta(b: &[u8]) -> Result<Vec<(String, Arch)>, IndexError> {
 // ---- seals ---------------------------------------------------------------
 //
 // The image digests folded into a corpus file, in ingestion order.
-// Written only when non-empty so pre-incremental blobs (and every
-// golden fixture derived from them) keep their exact bytes.
+// Written only when non-empty.
 
 fn encode_seals(seals: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + seals.len() * 8);
@@ -1627,109 +1327,17 @@ fn decode_context(b: &[u8]) -> Result<GlobalContext, IndexError> {
     Ok(GlobalContext::from_entries(docs, entries))
 }
 
-// ---- StrandPostings ------------------------------------------------------
-
-fn encode_postings(postings: &StrandPostings) -> Vec<u8> {
-    let entries = postings.entries();
-    let mut out = Vec::new();
-    put_u32(&mut out, entries.len() as u32);
-    for (strand, sites) in entries {
-        put_u64(&mut out, strand);
-        put_u32(&mut out, sites.len() as u32);
-        for &(exe, proc_) in sites {
-            put_u32(&mut out, exe);
-            put_u32(&mut out, proc_);
-        }
-    }
-    out
-}
-
-fn decode_postings(b: &[u8]) -> Result<StrandPostings, IndexError> {
-    let mut pos = 0;
-    let n = get_u32(b, &mut pos, "postings strand count")? as usize;
-    if n.saturating_mul(12) > b.len() {
-        return Err(malformed("postings strand count out of range"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let strand = get_u64(b, &mut pos, "postings strand")?;
-        let nsites = get_u32(b, &mut pos, "posting list length")? as usize;
-        if nsites.saturating_mul(8) > b.len() {
-            return Err(malformed("posting list length out of range"));
-        }
-        let mut sites = Vec::with_capacity(nsites);
-        for _ in 0..nsites {
-            let exe = get_u32(b, &mut pos, "posting executable")?;
-            let proc_ = get_u32(b, &mut pos, "posting procedure")?;
-            sites.push((exe, proc_));
-        }
-        entries.push((strand, sites));
-    }
-    Ok(StrandPostings::from_entries(entries))
-}
-
-// ---- postings2 / intern: sorted varint-delta encodings -------------------
+// ---- postings2: sorted varint-delta encoding ------------------------------
 //
-// Both records exploit the same invariant: their key sequences are
-// strictly increasing (postings keys by construction, interner hashes
-// by definition, packed `(exe << 32) | proc` sites within one posting
-// list by walk order). Sorted u64s delta-encode to mostly-small gaps,
-// and LEB128 varints store small gaps in one or two bytes — so the
-// records shrink by roughly the hash entropy they no longer repeat.
-// Strict monotonicity doubles as the trust boundary: a zero or
-// overflowing delta cannot come from our writers and is diagnosed as
-// `Malformed`, never absorbed.
-
-fn encode_interner(interner: &StrandInterner) -> Vec<u8> {
-    let hashes = interner.hashes();
-    let mut out = Vec::with_capacity(10 + hashes.len() * 2);
-    push_varint(&mut out, hashes.len() as u64);
-    let mut prev = 0u64;
-    for (i, &h) in hashes.iter().enumerate() {
-        push_varint(&mut out, if i == 0 { h } else { h - prev });
-        prev = h;
-    }
-    out
-}
-
-fn decode_interner(b: &[u8]) -> Result<Vec<u64>, IndexError> {
-    let mut pos = 0;
-    let n = read_varint(b, &mut pos, "intern count")? as usize;
-    // Every hash costs at least one delta byte.
-    if n > b.len() {
-        return Err(malformed("intern count out of range"));
-    }
-    let mut hashes = Vec::with_capacity(n);
-    let mut prev = 0u64;
-    for i in 0..n {
-        let delta = read_varint(b, &mut pos, "intern delta")?;
-        let h = if i == 0 {
-            delta
-        } else {
-            if delta == 0 {
-                return Err(malformed("intern hashes not strictly increasing"));
-            }
-            prev.checked_add(delta)
-                .ok_or_else(|| malformed("intern delta overflows u64"))?
-        };
-        hashes.push(h);
-        prev = h;
-    }
-    Ok(hashes)
-}
-
-/// The decoded `intern` record, or — for pre-interning files that lack
-/// one — a rebuild from the context's key set (the same strand set, by
-/// construction), counted in `index.interner_rebuilt`.
-fn interner_or_rebuild(intern: Option<Vec<u64>>, context: &GlobalContext) -> StrandInterner {
-    match intern {
-        Some(hashes) => StrandInterner::from_sorted(hashes),
-        None => {
-            firmup_telemetry::incr("index.interner_rebuilt");
-            StrandInterner::from_hashes(context.entries().into_iter().map(|(s, _)| s))
-        }
-    }
-}
+// The record exploits one invariant: its key sequences are strictly
+// increasing (postings keys by construction, packed `(exe << 32) | proc`
+// sites within one posting list by walk order). Sorted u64s
+// delta-encode to mostly-small gaps, and LEB128 varints store small gaps
+// in one or two bytes — so the record shrinks by roughly the hash
+// entropy it no longer repeats. Strict monotonicity doubles as the trust
+// boundary: a zero or overflowing delta cannot come from our writers and
+// is diagnosed as `Malformed`, never absorbed. It is also what lets the
+// decoded key set serve, unchecked, as the corpus interner.
 
 fn encode_postings2(postings: &StrandPostings) -> Vec<u8> {
     let keys = postings.keys();
@@ -1803,11 +1411,11 @@ fn decode_postings2(b: &[u8]) -> Result<StrandPostings, IndexError> {
 mod tests {
     use super::*;
     use crate::search::{prefilter_candidates, search_corpus, SearchConfig};
-    use firmup_firmware::index::{FORMAT_V1, MAX_SUPPORTED_VERSION};
+    use firmup_firmware::index::{read_container, FORMAT_V2};
 
     /// Decode everything and clone it out — the test-side view of an
-    /// index's executables, agnostic to eager vs. lazy storage.
-    fn reps_of(ix: &CorpusIndex) -> Vec<ExecutableRep> {
+    /// index's executables, whether built or decoded.
+    pub(super) fn reps_of(ix: &CorpusIndex) -> Vec<ExecutableRep> {
         ix.ensure_all().unwrap();
         (0..ix.len()).map(|i| ix.get(i).clone()).collect()
     }
@@ -1865,57 +1473,74 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let index = sample();
-        let back = CorpusIndex::from_bytes(&index.to_bytes()).unwrap();
-        assert_eq!(reps_of(&back), reps_of(&index));
+        let blob = index.to_bytes();
+        let back = CorpusIndex::from_bytes(blob.clone()).unwrap();
+        assert_eq!(back.len(), index.len());
+        // Identity is available before any payload decode.
+        for i in 0..back.len() {
+            assert_eq!(back.exe_id(i), index.exe_id(i));
+            assert_eq!(back.exe_arch(i), index.exe_arch(i));
+        }
         assert_eq!(*back.context, *index.context);
         assert_eq!(back.postings, index.postings);
-    }
-
-    #[test]
-    fn lazy_roundtrip_matches_eager() {
-        let index = sample();
-        let blob = index.to_bytes();
-        let eager = CorpusIndex::from_bytes(&blob).unwrap();
-        let lazy = CorpusIndex::from_bytes_lazy(blob).unwrap();
-        assert!(lazy.is_lazy() && !eager.is_lazy());
-        assert_eq!(lazy.len(), eager.len());
-        // Identity is available before any payload decode.
-        for i in 0..lazy.len() {
-            assert_eq!(lazy.exe_id(i), eager.exe_id(i));
-            assert_eq!(lazy.exe_arch(i), eager.exe_arch(i));
-        }
-        assert_eq!(*lazy.context, *eager.context);
-        assert_eq!(lazy.postings, eager.postings);
-        assert_eq!(reps_of(&lazy), reps_of(&eager));
-        // Re-serializing a fully decoded lazy index reproduces the blob.
-        assert_eq!(lazy.to_bytes(), eager.to_bytes());
-    }
-
-    #[test]
-    fn v1_blob_falls_back_to_eager_load() {
-        let index = sample();
-        let back = CorpusIndex::from_bytes_lazy(index.to_bytes_v1()).unwrap();
-        assert!(!back.is_lazy());
+        assert_eq!(back.interner.hashes(), index.interner.hashes());
         assert_eq!(reps_of(&back), reps_of(&index));
+        // Re-serializing a fully decoded index reproduces the blob.
+        assert_eq!(back.to_bytes(), blob);
+    }
+
+    /// A hand-built container in the retired version-1 layout (no
+    /// payload offsets, no table CRC), carrying `records`.
+    fn v1_blob(records: &[Record]) -> Vec<u8> {
+        let mut out = b"FUIX".to_vec();
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for r in records {
+            put_str(&mut out, &r.name);
+            put_u32(&mut out, r.payload.len() as u32);
+            put_u32(&mut out, crc32(&r.payload));
+        }
+        for r in records {
+            out.extend_from_slice(&r.payload);
+        }
+        out
     }
 
     #[test]
-    fn v2_without_exemeta_is_malformed_for_lazy_loads() {
-        let index = sample();
-        let records: Vec<Record> = index
-            .typed_records(true)
-            .into_iter()
-            .filter(|r| r.name != "exemeta")
-            .collect();
-        let blob = write_container_v2(&records);
-        // Eager readers don't need the sidecar...
-        assert_eq!(
-            reps_of(&CorpusIndex::from_bytes(&blob).unwrap()),
-            reps_of(&index)
-        );
-        // ...lazy ones diagnose its absence.
-        let err = CorpusIndex::from_bytes_lazy(blob).unwrap_err();
-        assert!(matches!(err, IndexError::Malformed { .. }), "{err:?}");
+    fn v1_and_version_0_files_are_unsupported_with_a_rebuild_hint() {
+        let records = read_container(&sample().to_bytes()).unwrap();
+        let mut zeroed = sample().to_bytes();
+        zeroed[4..8].copy_from_slice(&0u32.to_le_bytes());
+        for (found, blob) in [(1, v1_blob(&records)), (0, zeroed)] {
+            let want = IndexError::UnsupportedVersion {
+                found,
+                supported: FORMAT_V2,
+            };
+            assert_eq!(CorpusIndex::from_bytes(blob.clone()).unwrap_err(), want);
+            let dir = std::env::temp_dir().join(format!(
+                "firmup-persist-v{found}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(index_path(&dir), &blob).unwrap();
+            for err in [
+                CorpusIndex::open(&dir).unwrap_err(),
+                CorpusIndex::load(&dir).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, FirmUpError::Index { source, .. } if *source == want),
+                    "{err:?}"
+                );
+                let msg = err.to_string();
+                assert!(msg.contains("corpus.fui"), "{msg}");
+                assert!(
+                    msg.contains("this build reads only format 2 — rebuild with `firmup index`"),
+                    "{msg}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1923,31 +1548,28 @@ mod tests {
         let index = sample();
         let blob = index.to_bytes();
         // Find the exe:1 payload and flip a bit in it: the offset table
-        // still verifies, so open succeeds; try_get(1) diagnoses.
-        let (_, table) = read_table(&blob).unwrap();
+        // still verifies, so decode succeeds; try_get(1) diagnoses.
+        let table = read_table(&blob).unwrap();
         let e1 = table.iter().find(|e| e.name == "exe:1").unwrap().clone();
         let mut bad = blob;
         bad[e1.offset as usize] ^= 0x40;
-        let lazy = CorpusIndex::from_bytes_lazy(bad).unwrap();
-        assert!(lazy.try_get(0).is_ok());
-        let err = lazy.try_get(1).unwrap_err();
+        let back = CorpusIndex::from_bytes(bad).unwrap();
+        assert!(back.try_get(0).is_ok());
+        let err = back.try_get(1).unwrap_err();
         assert!(
             matches!(err, IndexError::ChecksumMismatch { .. }),
             "{err:?}"
         );
-        assert!(lazy.ensure_all().is_err());
+        assert!(back.ensure_all().is_err());
     }
 
     #[test]
     fn roundtrip_preserves_match_results() {
-        // The acceptance property: searching against a reloaded index —
-        // eager or lazy — yields the same results as the freshly built
-        // one.
+        // The acceptance property: searching against a reloaded index
+        // yields the same results as the freshly built one.
         let index = sample();
-        let blob = index.to_bytes();
-        let back = CorpusIndex::from_bytes(&blob).unwrap();
-        let lazy = CorpusIndex::from_bytes_lazy(blob).unwrap();
-        lazy.ensure_all().unwrap();
+        let back = CorpusIndex::from_bytes(index.to_bytes()).unwrap();
+        back.ensure_all().unwrap();
         let config = SearchConfig {
             context: Some(index.context.clone()),
             ..SearchConfig::default()
@@ -1958,52 +1580,46 @@ mod tests {
             ..SearchConfig::default()
         };
         let warm = search_corpus(back.get(0), 0, &back.rep_view(), &config);
-        let config = SearchConfig {
-            context: Some(lazy.context.clone()),
-            ..SearchConfig::default()
-        };
-        let cold = search_corpus(lazy.get(0), 0, &lazy.rep_view(), &config);
         assert_eq!(fresh, warm);
-        assert_eq!(fresh, cold);
     }
 
     #[test]
     fn empty_corpus_roundtrips() {
         let index = CorpusIndex::build(Vec::new());
-        for back in [
-            CorpusIndex::from_bytes(&index.to_bytes()).unwrap(),
-            CorpusIndex::from_bytes_lazy(index.to_bytes()).unwrap(),
-        ] {
-            assert!(back.is_empty());
-            assert!(back.postings.is_empty());
-            assert_eq!(back.context.docs(), 0);
-        }
+        let back = CorpusIndex::from_bytes(index.to_bytes()).unwrap();
+        assert!(back.is_empty());
+        assert!(back.postings.is_empty());
+        assert!(back.interner.is_empty());
+        assert_eq!(back.context.docs(), 0);
     }
 
     #[test]
     fn unknown_records_are_skipped() {
         // Forward compatibility: a future writer adding a record name is
-        // readable by this version.
+        // readable by this version — and so is an `intern` record an
+        // older writer stored (even one that would no longer decode).
         let index = sample();
         let records = {
             let mut r = read_container(&index.to_bytes()).unwrap();
             r.push(Record::new("future:embedding", vec![9, 9, 9]));
+            r.push(Record::new("intern", vec![0xff; 3]));
             r
         };
-        let back = CorpusIndex::from_bytes(&write_container(&records)).unwrap();
+        let back = CorpusIndex::from_bytes(write_container_v2(&records)).unwrap();
         assert_eq!(reps_of(&back), reps_of(&index));
+        assert_eq!(back.interner.hashes(), index.interner.hashes());
     }
 
     #[test]
     fn missing_records_are_diagnosed() {
         let index = sample();
-        for drop_name in ["meta", "exe:1", "context", "postings2"] {
+        for drop_name in ["meta", "exemeta", "exe:1", "context", "postings2"] {
             let records: Vec<Record> = read_container(&index.to_bytes())
                 .unwrap()
                 .into_iter()
                 .filter(|r| r.name != drop_name)
                 .collect();
-            let err = CorpusIndex::from_bytes(&write_container(&records)).unwrap_err();
+            let err = CorpusIndex::from_bytes(write_container_v2(&records)).unwrap_err();
             assert!(
                 matches!(err, IndexError::Malformed { .. }),
                 "dropping {drop_name}: {err:?}"
@@ -2015,17 +1631,14 @@ mod tests {
     fn unsorted_strands_are_rejected() {
         let mut bad = exe("x", &[&[5]]);
         bad.procedures[0].strands = vec![5, 3];
-        let blob = write_container(&[
-            Record::new("meta", 1u32.to_le_bytes().to_vec()),
-            Record::new("exe:0", super::encode_executable(&bad)),
-            Record::new("context", super::encode_context(&GlobalContext::default())),
-            Record::new(
-                "postings",
-                super::encode_postings(&StrandPostings::default()),
-            ),
-        ]);
+        let blob = segment_to_bytes(&[bad]);
+        let back = CorpusIndex::from_bytes(blob.clone()).unwrap();
         assert!(matches!(
-            CorpusIndex::from_bytes(&blob),
+            back.ensure_all(),
+            Err(IndexError::Malformed { .. })
+        ));
+        assert!(matches!(
+            segment_from_bytes(&blob),
             Err(IndexError::Malformed { .. })
         ));
     }
@@ -2039,17 +1652,14 @@ mod tests {
         ));
         let index = sample();
         index.save(&dir).unwrap();
+        // load() decodes everything up front...
         let back = CorpusIndex::load(&dir).unwrap();
+        assert!((0..back.len()).all(|i| back.store.slots[i].get().is_some()));
         assert_eq!(reps_of(&back), reps_of(&index));
-        // open() takes the lazy path for the v2 file save() writes...
-        let lazy = CorpusIndex::open(&dir).unwrap();
-        assert!(lazy.is_lazy());
-        assert_eq!(reps_of(&lazy), reps_of(&index));
-        // ...and the eager path for a v1 file.
-        index.save_v1(&dir).unwrap();
-        let v1 = CorpusIndex::open(&dir).unwrap();
-        assert!(!v1.is_lazy());
-        assert_eq!(reps_of(&v1), reps_of(&index));
+        // ...open() leaves every payload for first use.
+        let opened = CorpusIndex::open(&dir).unwrap();
+        assert!((0..opened.len()).all(|i| opened.store.slots[i].get().is_none()));
+        assert_eq!(reps_of(&opened), reps_of(&index));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2113,12 +1723,38 @@ mod tests {
         let err = CorpusIndex::load(&dir).unwrap_err();
         assert_eq!(err.kind(), "index");
         assert!(err.to_string().contains("corpus.fui"), "{err}");
+        // Damage inside an exe payload passes open() but not load(),
+        // which names the file all the same.
+        let index = sample();
+        index.save(&dir).unwrap();
+        let blob = std::fs::read(&path).unwrap();
+        let e1 = read_table(&blob)
+            .unwrap()
+            .into_iter()
+            .find(|e| e.name == "exe:1")
+            .unwrap();
+        let mut bad = blob;
+        bad[e1.offset as usize] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(CorpusIndex::open(&dir).is_ok());
+        let err = CorpusIndex::load(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FirmUpError::Index {
+                    source: IndexError::ChecksumMismatch { .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("corpus.fui"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prefilter_ranks_by_overlap_against_a_reloaded_index() {
-        let index = CorpusIndex::from_bytes(&sample().to_bytes()).unwrap();
+        let index = CorpusIndex::from_bytes(sample().to_bytes()).unwrap();
         // Query shares {2,3} with a, {2,3} with b... weight-free check:
         // a strand counts once per executable.
         let query = ProcedureRep {
@@ -2220,19 +1856,16 @@ mod tests {
         index.set_seals(vec![0xaa, 0xbb, 0xcc]);
         let sealed = index.to_bytes();
         assert_ne!(plain, sealed);
-        let eager = CorpusIndex::from_bytes(&sealed).unwrap();
-        assert_eq!(eager.seals(), &[0xaa, 0xbb, 0xcc]);
-        let lazy = CorpusIndex::from_bytes_lazy(sealed.clone()).unwrap();
-        assert_eq!(lazy.seals(), &[0xaa, 0xbb, 0xcc]);
+        let back = CorpusIndex::from_bytes(sealed.clone()).unwrap();
+        assert_eq!(back.seals(), &[0xaa, 0xbb, 0xcc]);
         // Re-serialization keeps the seal list (compact depends on it).
-        lazy.ensure_all().unwrap();
-        assert_eq!(lazy.to_bytes(), sealed);
-        // Old-style readers skip the record; the reps still load.
-        assert_eq!(reps_of(&eager), reps_of(&index));
+        back.ensure_all().unwrap();
+        assert_eq!(back.to_bytes(), sealed);
+        assert_eq!(reps_of(&back), reps_of(&index));
     }
 
     #[test]
-    fn query_records_roundtrip_on_both_paths_and_stay_out_of_v1() {
+    fn query_records_roundtrip_and_carry_through_resave() {
         let mut index = sample();
         let plain = index.to_bytes();
         let q = QueryRecord {
@@ -2255,21 +1888,14 @@ mod tests {
         let at = names.iter().position(|n| *n == name).unwrap();
         assert_eq!(names[at - 1], "exe:2");
         assert_eq!(names[at + 1], "context");
-        for loaded in [
-            CorpusIndex::from_bytes(&blob).unwrap(),
-            CorpusIndex::from_bytes_lazy(blob.clone()).unwrap(),
-        ] {
-            assert_eq!(loaded.query_names().collect::<Vec<_>>(), [name.as_str()]);
-            assert_eq!(loaded.query(&name).unwrap().unwrap(), q);
-            assert!(loaded.query("query:dbus:x86").is_none());
-            // load → save carries the record forward byte for byte.
-            loaded.ensure_all().unwrap();
-            assert_eq!(loaded.to_bytes(), blob);
-            assert_eq!(reps_of(&loaded), reps_of(&index));
-        }
-        // v1 never carries query records: the v1 blob of an index with
-        // and without them is the same.
-        assert_eq!(index.to_bytes_v1(), sample().to_bytes_v1());
+        let loaded = CorpusIndex::from_bytes(blob.clone()).unwrap();
+        assert_eq!(loaded.query_names().collect::<Vec<_>>(), [name.as_str()]);
+        assert_eq!(loaded.query(&name).unwrap().unwrap(), q);
+        assert!(loaded.query("query:dbus:x86").is_none());
+        // load → save carries the record forward byte for byte.
+        loaded.ensure_all().unwrap();
+        assert_eq!(loaded.to_bytes(), blob);
+        assert_eq!(reps_of(&loaded), reps_of(&index));
         assert_ne!(plain, blob);
         // Every truncation and every single-byte flip of the payload is
         // rejected by the record's own checksum.
@@ -2287,7 +1913,7 @@ mod tests {
     /// Build the on-disk shape `index --add` leaves behind: a base
     /// `corpus.fui` over `base_reps`, plus one live segment per entry
     /// of `segments`, published via the manifest at `epoch`.
-    fn write_layout(
+    pub(super) fn write_layout(
         dir: &std::path::Path,
         base: &CorpusIndex,
         segments: &[(u64, &[ExecutableRep])],
@@ -2340,8 +1966,6 @@ mod tests {
             assert_eq!(index.context.docs(), full.context.docs());
             assert_eq!(index.postings.entries(), full.postings.entries());
         }
-        // The lazy path stays lazy across the union.
-        assert!(CorpusIndex::open(&dir).unwrap().is_lazy());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2390,9 +2014,9 @@ mod tests {
     }
 
     #[test]
-    fn unsidecared_segments_fall_back_to_eager_union() {
-        // A segment written without the v2 sidecars (e.g. by an older
-        // build) still unions — just eagerly.
+    fn unsidecared_segments_are_malformed() {
+        // Every segment writer emits the exemeta/context/postings2
+        // sidecars; one without them is damaged, not a second layout.
         let dir = std::env::temp_dir().join(format!(
             "firmup-plainseg-{}-{:?}",
             std::process::id(),
@@ -2403,12 +2027,15 @@ mod tests {
         let base = CorpusIndex::build(all[0..1].to_vec());
         base.save(&dir).unwrap();
         std::fs::create_dir_all(segments_dir(&dir)).unwrap();
-        // Hand-roll the old layout: meta + exe:<i> only, v1 container.
         let mut records = vec![Record::new("meta", 2u32.to_le_bytes().to_vec())];
         for (i, exe) in all[1..3].iter().enumerate() {
             records.push(Record::new(format!("exe:{i}"), encode_executable(exe)));
         }
-        let blob = write_container(&records);
+        let blob = write_container_v2(&records);
+        assert!(matches!(
+            segment_from_bytes(&blob),
+            Err(IndexError::Malformed { .. })
+        ));
         let name = segment_file_name(0xdd);
         std::fs::write(segments_dir(&dir).join(&name), &blob).unwrap();
         firmup_firmware::index::write_manifest(
@@ -2424,11 +2051,18 @@ mod tests {
             },
         )
         .unwrap();
-        let full = CorpusIndex::build(all.clone());
-        let index = CorpusIndex::open(&dir).unwrap();
-        assert_eq!(reps_of(&index), all);
-        assert_eq!(index.context.entries(), full.context.entries());
-        assert_eq!(index.postings.entries(), full.postings.entries());
+        let err = CorpusIndex::open(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FirmUpError::Index {
+                    source: IndexError::Malformed { .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("seg-"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2469,19 +2103,16 @@ mod tests {
 
     #[test]
     fn format_version_is_pinned() {
-        // A reminder to bump deliberately: to_bytes writes the current
-        // (v2, lazily loadable) layout; to_bytes_v1 stays byte-for-byte
-        // what pre-v2 builds wrote so old readers keep working.
-        assert_eq!(FORMAT_V1, 1);
-        assert_eq!(MAX_SUPPORTED_VERSION, 2);
-        let index = sample();
-        assert_eq!(&index.to_bytes()[4..8], &2u32.to_le_bytes());
-        assert_eq!(&index.to_bytes_v1()[4..8], &1u32.to_le_bytes());
+        // A reminder to bump deliberately: to_bytes writes format 2,
+        // the only layout this build reads.
+        assert_eq!(FORMAT_V2, 2);
+        assert_eq!(&sample().to_bytes()[4..8], &2u32.to_le_bytes());
     }
 }
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::reps_of;
     use super::*;
     use proptest::prelude::*;
 
@@ -2516,35 +2147,72 @@ mod prop_tests {
             })
     }
 
-    fn decoded(ix: &CorpusIndex) -> Vec<ExecutableRep> {
-        ix.ensure_all().unwrap();
-        (0..ix.len()).map(|i| ix.get(i).clone()).collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Write → read reproduces identical strand hashes (and all
-        /// other fields) for arbitrary corpora — through the eager v2
-        /// reader, the lazy v2 reader, and the v1 compatibility writer
-        /// alike.
+        /// other fields) for arbitrary corpora.
         #[test]
         fn roundtrip_property(reps in proptest::collection::vec(arb_rep(), 0..5)) {
             let index = CorpusIndex::build(reps);
-            let blob = index.to_bytes();
-            let eager = CorpusIndex::from_bytes(&blob).unwrap();
-            let lazy = CorpusIndex::from_bytes_lazy(blob).unwrap();
-            let v1 = CorpusIndex::from_bytes(&index.to_bytes_v1()).unwrap();
-            let want = decoded(&index);
-            for back in [&eager, &lazy, &v1] {
-                prop_assert_eq!(&decoded(back), &want);
-                prop_assert_eq!(back.context.entries(), index.context.entries());
-                prop_assert_eq!(back.postings.entries(), index.postings.entries());
-            }
+            let back = CorpusIndex::from_bytes(index.to_bytes()).unwrap();
+            let want = reps_of(&index);
+            prop_assert_eq!(&reps_of(&back), &want);
+            prop_assert_eq!(back.context.entries(), index.context.entries());
+            prop_assert_eq!(back.postings.entries(), index.postings.entries());
             // Identity metadata is consistent with the decoded reps.
             for (i, w) in want.iter().enumerate() {
-                prop_assert_eq!(lazy.exe_id(i), &w.id);
-                prop_assert_eq!(lazy.exe_arch(i), w.arch);
+                prop_assert_eq!(back.exe_id(i), &w.id);
+                prop_assert_eq!(back.exe_arch(i), w.arch);
+            }
+        }
+
+        /// The interner is never stored, so every constructor must
+        /// derive the same one: the sorted set of every strand in the
+        /// corpus, which is the postings key set — on a built index, a
+        /// decoded one, and one unioned from an `index --add` history.
+        #[test]
+        fn interner_is_the_postings_key_set(
+            reps in proptest::collection::vec(arb_rep(), 0..5),
+            split in any::<proptest::sample::Index>(),
+        ) {
+            let strands = |reps: &[ExecutableRep]| {
+                let mut all: Vec<u64> = reps
+                    .iter()
+                    .flat_map(|e| e.procedures.iter())
+                    .flat_map(|p| p.strands.iter().copied())
+                    .collect();
+                all.sort_unstable();
+                all.dedup();
+                all
+            };
+            let want = strands(&reps);
+            let built = CorpusIndex::build(reps.clone());
+            let decoded = CorpusIndex::from_bytes(built.to_bytes()).unwrap();
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "firmup-interner-prop-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let at = if reps.is_empty() { 0 } else { split.index(reps.len() + 1) };
+            let base = CorpusIndex::build(reps[..at].to_vec());
+            let segments: Vec<(u64, &[ExecutableRep])> = (at..reps.len())
+                .map(|i| (0x100 + i as u64, &reps[i..i + 1]))
+                .collect();
+            super::tests::write_layout(&dir, &base, &segments, 1);
+            let unioned = CorpusIndex::open(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            for ix in [&built, &decoded, &unioned] {
+                prop_assert_eq!(ix.interner.hashes(), ix.postings.keys());
+                prop_assert_eq!(ix.interner.hashes(), &want[..]);
+                // Every decoded rep interns completely against it.
+                for rep in reps_of(ix) {
+                    for p in &rep.procedures {
+                        prop_assert!(p.interned.as_ref().is_some_and(|s| s.complete));
+                    }
+                }
             }
         }
     }

@@ -296,7 +296,8 @@ fn pick<'a, T>(items: &'a [T], rng: &mut SmallRng) -> Option<&'a T> {
 }
 
 /// Byte offsets of one FWIM part-table / FUIX record-table entry's
-/// fields (the two formats deliberately share the entry shape).
+/// fields (the two formats share the entry shape, except that a FUIX
+/// entry carries a u64 payload offset between name and length).
 struct PartEntry {
     name_len_off: usize,
     len_off: usize,
@@ -346,6 +347,9 @@ fn part_table(blob: &[u8]) -> Option<PartTable> {
         pos = pos.checked_add(name_len)?;
         if pos > blob.len() {
             return None;
+        }
+        if is_fuix {
+            pos = pos.checked_add(8)?; // payload offset
         }
         let len_off = pos;
         let _len = read_u32(&mut pos)?;
@@ -458,13 +462,17 @@ mod tests {
 
     #[test]
     fn structure_aware_ops_target_fuix_record_tables() {
-        use crate::index::{read_container, write_container, IndexError, Record};
-        let blob = write_container(&[
+        use crate::index::{read_container, read_table, write_container_v2, IndexError, Record};
+        let blob = write_container_v2(&[
             Record::new("meta", vec![1, 2, 3, 4]),
             Record::new("exe:0", vec![9u8; 64]),
         ]);
         let table = part_table(&blob).expect("FUIX blob has a locatable record table");
         assert_eq!(table.entries.len(), 2);
+        for (e, t) in table.entries.iter().zip(read_table(&blob).unwrap()) {
+            let at = |off: usize| u32::from_le_bytes(blob[off..off + 4].try_into().unwrap());
+            assert_eq!((at(e.len_off), at(e.crc_off)), (t.len, t.crc));
+        }
         // Smashing the located CRCs must trip the container's checksum
         // verification — proof the offsets are right for FUIX too.
         let smashed = corrupt(&blob, CorruptOp::CrcSmash, 11);
@@ -500,8 +508,8 @@ mod tests {
 
     #[test]
     fn stale_lock_spoils_the_magic_with_lock_text() {
-        use crate::index::{read_container, write_container, IndexError, Record};
-        let blob = write_container(&[Record::new("meta", vec![1, 2, 3, 4])]);
+        use crate::index::{read_container, write_container_v2, IndexError, Record};
+        let blob = write_container_v2(&[Record::new("meta", vec![1, 2, 3, 4])]);
         let damaged = corrupt(&blob, CorruptOp::StaleLock, 9);
         assert!(damaged.starts_with(b"pid "), "lock text not stamped");
         assert_eq!(read_container(&damaged), Err(IndexError::NotAnIndex));

@@ -11,19 +11,7 @@
 //! `firmup-core::persist`, which depends on this crate (never the other
 //! way around).
 //!
-//! # File layout (format version 1)
-//!
-//! ```text
-//! offset 0   magic           b"FUIX"
-//! offset 4   format version  u32 LE (1)
-//! offset 8   record count    u32 LE (N, capped at 1_048_576)
-//! then       record table    N × { name: u32 len + UTF-8 bytes,
-//!                                  payload length: u32 LE,
-//!                                  payload crc32:  u32 LE }
-//! then       payloads        concatenated in table order
-//! ```
-//!
-//! # File layout (format version 2 — offset table, lazy reads)
+//! # File layout (format version 2)
 //!
 //! ```text
 //! offset 0   magic           b"FUIX"
@@ -52,14 +40,16 @@
 //!   [`IndexError::Truncated`], never a panic or a wild slice;
 //! * each record payload carries a CRC-32 ([`crate::crc::crc32`]); a
 //!   mismatch yields [`IndexError::ChecksumMismatch`] naming the record;
-//! * in version 2 the record table additionally carries its own CRC-32,
-//!   so a damaged offset table is rejected at open instead of steering
-//!   lazy reads to wrong byte ranges;
+//! * the record table carries its own CRC-32, so a damaged offset table
+//!   is rejected at open instead of steering lazy reads to wrong byte
+//!   ranges;
 //! * a future *compatible* extension adds new record names — readers
 //!   must skip records they do not recognize;
-//! * an *incompatible* change bumps the format version; readers reject
-//!   versions above [`MAX_SUPPORTED_VERSION`] with
-//!   [`IndexError::UnsupportedVersion`] instead of misparsing them.
+//! * an *incompatible* change bumps the format version; a reader accepts
+//!   exactly [`FORMAT_V2`] and answers any other version (the retired
+//!   version 1, a zeroed header, a future number) with
+//!   [`IndexError::UnsupportedVersion`] instead of misparsing it. An
+//!   index is a cache, so the remedy is always a rebuild.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -69,18 +59,12 @@ use crate::crc::crc32;
 /// Container magic (`b"FUIX"` — FirmUp IndeX).
 pub const MAGIC: &[u8; 4] = b"FUIX";
 
-/// Format version 1: length-only record table, payloads concatenated
-/// after it. Readable (eagerly) and writable for back compat.
-pub const FORMAT_V1: u32 = 1;
-
-/// Format version 2: record table with absolute payload offsets and a
-/// table-level CRC-32, enabling lazy per-record reads.
+/// Format version 2, the only one this build reads or writes: record
+/// table with absolute payload offsets and a table-level CRC-32,
+/// enabling lazy per-record reads. Bump only for layout changes an
+/// older reader would misparse; additive changes use new record names
+/// instead.
 pub const FORMAT_V2: u32 = 2;
-
-/// Highest format version this build reads. Bump only for layout
-/// changes an older reader would misparse; additive changes use new
-/// record names instead.
-pub const MAX_SUPPORTED_VERSION: u32 = FORMAT_V2;
 
 /// Highest record count a reader accepts; anything larger is treated as
 /// a corrupt header (the same defensive cap the FWIM unpacker applies
@@ -128,11 +112,12 @@ pub enum IndexError {
     },
     /// The blob does not start with the FUIX magic.
     NotAnIndex,
-    /// The file declares a format version this reader does not support.
+    /// The file declares a format version other than the one this
+    /// reader supports; the fix is a rebuild with `firmup index`.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this reader supports.
+        /// The one version this reader supports.
         supported: u32,
     },
     /// The file ran out while reading the named structure.
@@ -163,7 +148,8 @@ impl fmt::Display for IndexError {
             IndexError::NotAnIndex => f.write_str("not a firmup index (bad magic)"),
             IndexError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported index format version {found} (this build reads ≤ {supported})"
+                "unsupported index format version {found}: this build reads only format \
+                 {supported} — rebuild with `firmup index`"
             ),
             IndexError::Truncated { context } => {
                 write!(f, "truncated index while reading {context}")
@@ -264,24 +250,6 @@ pub fn read_varint(b: &[u8], pos: &mut usize, context: &'static str) -> Result<u
     })
 }
 
-/// Serialize records into a version-1 FUIX container blob (the
-/// back-compat writer; new indexes use [`write_container_v2`]).
-pub fn write_container(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_V1.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for r in records {
-        push_str(&mut out, &r.name);
-        out.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&r.payload).to_le_bytes());
-    }
-    for r in records {
-        out.extend_from_slice(&r.payload);
-    }
-    out
-}
-
 /// Serialize records into a version-2 FUIX container blob: the record
 /// table carries absolute payload offsets and is sealed with its own
 /// CRC-32, so readers can verify the table eagerly and fetch payloads
@@ -326,31 +294,30 @@ pub struct TableEntry {
 }
 
 /// Parse and verify a FUIX container's header and record table only —
-/// no payload bytes are read. Returns the format version and one
-/// [`TableEntry`] per record (for version 1, offsets are synthesized
-/// from the cumulative lengths, so the lazy accessors work on both
-/// layouts). For version 2 the table CRC is verified here, so a
-/// bit-flipped or truncated offset table is a structured error at open
-/// — it can never steer a later [`record_bytes`] to a wrong range.
+/// no payload bytes are read. Returns one [`TableEntry`] per record.
+/// The table CRC is verified here, so a bit-flipped or truncated offset
+/// table is a structured error at open — it can never steer a later
+/// [`record_bytes`] to a wrong range.
 ///
 /// # Errors
 ///
 /// [`IndexError::NotAnIndex`] (bad magic),
-/// [`IndexError::UnsupportedVersion`], [`IndexError::Truncated`]
-/// (header or table cut short), [`IndexError::Malformed`] (bogus record
-/// count, non-UTF-8 name, payload offset inside the table), or
-/// [`IndexError::ChecksumMismatch`] on the v2 table CRC (reported as
-/// record `<table>`).
-pub fn read_table(blob: &[u8]) -> Result<(u32, Vec<TableEntry>), IndexError> {
+/// [`IndexError::UnsupportedVersion`] (any version but [`FORMAT_V2`]),
+/// [`IndexError::Truncated`] (header or table cut short),
+/// [`IndexError::Malformed`] (bogus record count, non-UTF-8 name,
+/// payload offset inside the table), or
+/// [`IndexError::ChecksumMismatch`] on the table CRC (reported as record
+/// `<table>`).
+pub fn read_table(blob: &[u8]) -> Result<Vec<TableEntry>, IndexError> {
     if blob.len() < 4 || &blob[0..4] != MAGIC {
         return Err(IndexError::NotAnIndex);
     }
     let mut pos = 4usize;
     let version = read_u32(blob, &mut pos, "format version")?;
-    if version > MAX_SUPPORTED_VERSION {
+    if version != FORMAT_V2 {
         return Err(IndexError::UnsupportedVersion {
             found: version,
-            supported: MAX_SUPPORTED_VERSION,
+            supported: FORMAT_V2,
         });
     }
     let count = read_u32(blob, &mut pos, "record count")?;
@@ -360,60 +327,39 @@ pub fn read_table(blob: &[u8]) -> Result<(u32, Vec<TableEntry>), IndexError> {
         });
     }
     let mut entries = Vec::with_capacity(count as usize);
-    if version >= FORMAT_V2 {
-        for _ in 0..count {
-            let name = read_str(blob, &mut pos, "record table")?;
-            let offset = read_u64(blob, &mut pos, "record table")?;
-            let len = read_u32(blob, &mut pos, "record table")?;
-            let crc = read_u32(blob, &mut pos, "record table")?;
-            entries.push(TableEntry {
-                name,
-                offset,
-                len,
-                crc,
-            });
-        }
-        let table_end = pos;
-        let declared = read_u32(blob, &mut pos, "record table checksum")?;
-        if crc32(&blob[4..table_end]) != declared {
-            return Err(IndexError::ChecksumMismatch {
-                record: "<table>".to_string(),
-            });
-        }
-        // Offsets pointing back into the header/table would alias
-        // structure bytes as payload — structurally invalid even if the
-        // payload CRC happens to hold.
-        let payload_base = pos as u64;
-        if let Some(e) = entries.iter().find(|e| e.offset < payload_base) {
-            return Err(IndexError::Malformed {
-                reason: format!(
-                    "record `{}` declares payload offset {} inside the table (payloads start at \
-                     {payload_base})",
-                    e.name, e.offset
-                ),
-            });
-        }
-    } else {
-        for _ in 0..count {
-            let name = read_str(blob, &mut pos, "record table")?;
-            let len = read_u32(blob, &mut pos, "record table")?;
-            let crc = read_u32(blob, &mut pos, "record table")?;
-            entries.push(TableEntry {
-                name,
-                offset: 0,
-                len,
-                crc,
-            });
-        }
-        // v1 has no explicit offsets: payloads follow the table in
-        // record order.
-        let mut offset = pos as u64;
-        for e in &mut entries {
-            e.offset = offset;
-            offset += u64::from(e.len);
-        }
+    for _ in 0..count {
+        let name = read_str(blob, &mut pos, "record table")?;
+        let offset = read_u64(blob, &mut pos, "record table")?;
+        let len = read_u32(blob, &mut pos, "record table")?;
+        let crc = read_u32(blob, &mut pos, "record table")?;
+        entries.push(TableEntry {
+            name,
+            offset,
+            len,
+            crc,
+        });
     }
-    Ok((version, entries))
+    let table_end = pos;
+    let declared = read_u32(blob, &mut pos, "record table checksum")?;
+    if crc32(&blob[4..table_end]) != declared {
+        return Err(IndexError::ChecksumMismatch {
+            record: "<table>".to_string(),
+        });
+    }
+    // Offsets pointing back into the header/table would alias structure
+    // bytes as payload — structurally invalid even if the payload CRC
+    // happens to hold.
+    let payload_base = pos as u64;
+    if let Some(e) = entries.iter().find(|e| e.offset < payload_base) {
+        return Err(IndexError::Malformed {
+            reason: format!(
+                "record `{}` declares payload offset {} inside the table (payloads start at \
+                 {payload_base})",
+                e.name, e.offset
+            ),
+        });
+    }
+    Ok(entries)
 }
 
 /// Fetch and verify one record's payload bytes by its table entry —
@@ -443,20 +389,20 @@ pub fn record_bytes<'a>(blob: &'a [u8], entry: &TableEntry) -> Result<&'a [u8], 
     Ok(payload)
 }
 
-/// Parse a FUIX container blob (either format version) back into its
-/// records, eagerly verifying every payload.
+/// Parse a FUIX container blob back into its records, eagerly
+/// verifying every payload.
 ///
 /// # Errors
 ///
 /// Returns a structured [`IndexError`] for every class of damage: wrong
 /// magic, unsupported version, truncation anywhere (header, table,
 /// payload region), a bogus record count, a non-UTF-8 record name, a
-/// damaged v2 table checksum, or a payload whose CRC-32 disagrees with
+/// damaged table checksum, or a payload whose CRC-32 disagrees with
 /// the table. Unlike the FWIM unpacker there is no carving fallback and
 /// no quarantine: an index is a *cache*, so any damage invalidates the
 /// whole file and the caller rebuilds it from the source images.
 pub fn read_container(blob: &[u8]) -> Result<Vec<Record>, IndexError> {
-    let (_, entries) = read_table(blob)?;
+    let entries = read_table(blob)?;
     let mut records = Vec::with_capacity(entries.len());
     for entry in entries {
         let payload = record_bytes(blob, &entry)?.to_vec();
@@ -802,7 +748,7 @@ pub fn scan_container(blob: &[u8]) -> Result<Vec<RecordCheck>, IndexError> {
             context: "empty index file",
         });
     }
-    let (_, entries) = read_table(blob)?;
+    let entries = read_table(blob)?;
     let mut checks = Vec::with_capacity(entries.len());
     for entry in entries {
         let status = match record_bytes(blob, &entry) {
@@ -834,19 +780,11 @@ mod tests {
     #[test]
     fn container_roundtrip() {
         let records = sample();
-        let blob = write_container(&records);
-        assert_eq!(read_container(&blob).unwrap(), records);
-    }
-
-    #[test]
-    fn container_v2_roundtrip() {
-        let records = sample();
         let blob = write_container_v2(&records);
         assert_eq!(blob[4..8], FORMAT_V2.to_le_bytes());
         assert_eq!(read_container(&blob).unwrap(), records);
         // Lazy path: table-only parse, then each payload on demand.
-        let (version, entries) = read_table(&blob).unwrap();
-        assert_eq!(version, FORMAT_V2);
+        let entries = read_table(&blob).unwrap();
         assert_eq!(entries.len(), records.len());
         for (e, r) in entries.iter().zip(&records) {
             assert_eq!(e.name, r.name);
@@ -855,61 +793,72 @@ mod tests {
     }
 
     #[test]
-    fn v1_table_synthesizes_correct_offsets() {
-        let records = sample();
-        let blob = write_container(&records);
-        let (version, entries) = read_table(&blob).unwrap();
-        assert_eq!(version, FORMAT_V1);
-        for (e, r) in entries.iter().zip(&records) {
-            assert_eq!(record_bytes(&blob, e).unwrap(), &r.payload[..]);
-        }
-    }
-
-    #[test]
     fn empty_container_roundtrips() {
-        let blob = write_container(&[]);
-        assert_eq!(read_container(&blob).unwrap(), vec![]);
         let blob = write_container_v2(&[]);
         assert_eq!(read_container(&blob).unwrap(), vec![]);
     }
 
     #[test]
     fn bad_magic_is_not_an_index() {
-        let mut blob = write_container(&sample());
+        let mut blob = write_container_v2(&sample());
         blob[0] = b'X';
         assert_eq!(read_container(&blob), Err(IndexError::NotAnIndex));
         assert_eq!(read_container(&[]), Err(IndexError::NotAnIndex));
     }
 
+    /// A hand-built version-1 container: the retired layout, whose
+    /// record table has no payload offsets and no table CRC.
+    fn v1_blob(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for r in records {
+            push_str(&mut out, &r.name);
+            out.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(&r.payload).to_le_bytes());
+        }
+        for r in records {
+            out.extend_from_slice(&r.payload);
+        }
+        out
+    }
+
     #[test]
-    fn future_version_is_rejected_not_misparsed() {
-        for blob in [write_container(&sample()), write_container_v2(&sample())] {
-            let mut blob = blob;
-            blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert_eq!(
-                read_container(&blob),
-                Err(IndexError::UnsupportedVersion {
-                    found: u32::MAX,
-                    supported: MAX_SUPPORTED_VERSION,
-                })
+    fn every_version_but_2_is_rejected_not_misparsed() {
+        let mut zeroed = write_container_v2(&sample());
+        zeroed[4..8].copy_from_slice(&0u32.to_le_bytes());
+        let mut future = write_container_v2(&sample());
+        future[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        for (found, blob) in [(1, v1_blob(&sample())), (0, zeroed), (u32::MAX, future)] {
+            let want = IndexError::UnsupportedVersion {
+                found,
+                supported: FORMAT_V2,
+            };
+            assert_eq!(read_table(&blob), Err(want.clone()));
+            assert_eq!(read_container(&blob), Err(want.clone()));
+            assert_eq!(scan_container(&blob), Err(want.clone()));
+            let msg = want.to_string();
+            assert!(
+                msg.contains("this build reads only format 2 — rebuild with `firmup index`"),
+                "{msg}"
             );
         }
     }
 
     #[test]
     fn every_truncation_point_is_a_structured_error() {
-        for blob in [write_container(&sample()), write_container_v2(&sample())] {
-            for cut in 0..blob.len() {
-                match read_container(&blob[..cut]) {
-                    Err(_) => {}
-                    Ok(_) => panic!("cut at {cut} of {} parsed successfully", blob.len()),
-                }
+        let blob = write_container_v2(&sample());
+        for cut in 0..blob.len() {
+            match read_container(&blob[..cut]) {
+                Err(_) => {}
+                Ok(_) => panic!("cut at {cut} of {} parsed successfully", blob.len()),
             }
         }
     }
 
     #[test]
-    fn v2_table_bitflips_are_caught_eagerly() {
+    fn table_bitflips_are_caught_eagerly() {
         let blob = write_container_v2(&sample());
         // Find where the table ends: header(12) + per-record name/offset/
         // len/crc fields + the 4-byte table CRC.
@@ -935,8 +884,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_offsets_into_the_table_are_malformed() {
-        // Hand-craft a v2 container whose record points at the header,
+    fn offsets_into_the_table_are_malformed() {
+        // Hand-craft a container whose record points at the header,
         // with a recomputed table CRC so only the offset check can
         // reject it.
         let payload = vec![7u8; 8];
@@ -960,20 +909,18 @@ mod tests {
 
     #[test]
     fn payload_bitflip_fails_the_record_checksum() {
-        let records = sample();
-        for mut blob in [write_container(&records), write_container_v2(&records)] {
-            let n = blob.len();
-            blob[n - 1] ^= 0x80; // last byte of exe:0's payload region
-            match read_container(&blob) {
-                Err(IndexError::ChecksumMismatch { record }) => assert_eq!(record, "exe:0"),
-                other => panic!("expected ChecksumMismatch, got {other:?}"),
-            }
+        let mut blob = write_container_v2(&sample());
+        let n = blob.len();
+        blob[n - 1] ^= 0x80; // last byte of exe:0's payload region
+        match read_container(&blob) {
+            Err(IndexError::ChecksumMismatch { record }) => assert_eq!(record, "exe:0"),
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
     }
 
     #[test]
     fn bogus_record_count_is_malformed() {
-        let mut blob = write_container(&sample());
+        let mut blob = write_container_v2(&sample());
         blob[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_container(&blob),
@@ -983,7 +930,7 @@ mod tests {
 
     #[test]
     fn non_utf8_record_name_is_malformed() {
-        let mut blob = write_container(&[Record::new("abcd", vec![])]);
+        let mut blob = write_container_v2(&[Record::new("abcd", vec![])]);
         // The name bytes start after magic+version+count+name-length.
         blob[16] = 0xff;
         blob[17] = 0xfe;
@@ -1176,30 +1123,29 @@ mod tests {
     #[test]
     fn scan_container_itemizes_damage_per_record() {
         let records = sample();
-        for blob in [write_container(&records), write_container_v2(&records)] {
-            // Pristine: every record Ok.
-            let checks = scan_container(&blob).unwrap();
-            assert_eq!(checks.len(), records.len());
-            assert!(checks.iter().all(|c| c.status == RecordStatus::Ok));
+        let blob = write_container_v2(&records);
+        // Pristine: every record Ok.
+        let checks = scan_container(&blob).unwrap();
+        assert_eq!(checks.len(), records.len());
+        assert!(checks.iter().all(|c| c.status == RecordStatus::Ok));
 
-            // Flip a byte in the middle record's payload: only it reports
-            // ChecksumMismatch, the rest stay Ok (unlike read_container,
-            // which stops at the first failure).
-            let mut damaged = blob.clone();
-            let n = damaged.len();
-            damaged[n - 100] ^= 0xff; // inside exe:0's 200-byte payload
-            let checks = scan_container(&damaged).unwrap();
-            assert_eq!(checks[0].status, RecordStatus::Ok);
-            assert_eq!(checks[1].status, RecordStatus::ChecksumMismatch);
-            assert_eq!(checks[2].status, RecordStatus::Ok);
+        // Flip a byte in the middle record's payload: only it reports
+        // ChecksumMismatch, the rest stay Ok (unlike read_container,
+        // which stops at the first failure).
+        let mut damaged = blob.clone();
+        let n = damaged.len();
+        damaged[n - 100] ^= 0xff; // inside exe:0's 200-byte payload
+        let checks = scan_container(&damaged).unwrap();
+        assert_eq!(checks[0].status, RecordStatus::Ok);
+        assert_eq!(checks[1].status, RecordStatus::ChecksumMismatch);
+        assert_eq!(checks[2].status, RecordStatus::Ok);
 
-            // Truncate into the payload region: the cut record (and any
-            // after it) report TruncatedPayload.
-            let cut = blob.len() - 150;
-            let checks = scan_container(&blob[..cut]).unwrap();
-            assert_eq!(checks[0].status, RecordStatus::Ok);
-            assert_eq!(checks[1].status, RecordStatus::TruncatedPayload);
-        }
+        // Truncate into the payload region: the cut record (and any
+        // after it) report TruncatedPayload.
+        let cut = blob.len() - 150;
+        let checks = scan_container(&blob[..cut]).unwrap();
+        assert_eq!(checks[0].status, RecordStatus::Ok);
+        assert_eq!(checks[1].status, RecordStatus::TruncatedPayload);
     }
 
     #[test]
@@ -1208,7 +1154,7 @@ mod tests {
             scan_container(&[]),
             Err(IndexError::Truncated { .. })
         ));
-        let mut blob = write_container(&sample());
+        let mut blob = write_container_v2(&sample());
         blob[0] = b'X';
         assert_eq!(scan_container(&blob), Err(IndexError::NotAnIndex));
     }

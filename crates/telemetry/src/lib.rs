@@ -25,10 +25,6 @@
 //! overhead on hot paths (corpus search, game steps) well under the 2%
 //! budget the bench suite asserts.
 //!
-//! A structured **event log** emits JSON-lines records ([`event`]) when
-//! tracing is on — enabled by the `FIRMUP_TRACE` environment variable or
-//! programmatically via [`set_trace`] (the CLI's `--trace` flag).
-//!
 //! [`snapshot`] captures a consistent view of every registered metric;
 //! [`Snapshot::render_text`] and [`Snapshot::render_json`] export it for
 //! humans and machines respectively. The JSON form additionally
@@ -55,7 +51,6 @@ pub use trace_ctx::{
 };
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -70,7 +65,6 @@ pub const HIST_BUCKETS: usize = 65;
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static TRACE: AtomicBool = AtomicBool::new(false);
 
 /// Turn metric recording on. Idempotent.
 pub fn enable() {
@@ -87,24 +81,6 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the JSON-lines event log on or off (the CLI `--trace` flag).
-pub fn set_trace(on: bool) {
-    TRACE.store(on, Ordering::Relaxed);
-}
-
-/// Whether event tracing is on. Checks the `FIRMUP_TRACE` environment
-/// variable once at first call; [`set_trace`] overrides either way.
-#[inline]
-pub fn trace_enabled() -> bool {
-    static FROM_ENV: OnceLock<()> = OnceLock::new();
-    FROM_ENV.get_or_init(|| {
-        if std::env::var_os("FIRMUP_TRACE").is_some_and(|v| !v.is_empty() && v != "0") {
-            TRACE.store(true, Ordering::Relaxed);
-        }
-    });
-    TRACE.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,61 +536,6 @@ macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
     };
-}
-
-// ---------------------------------------------------------------------------
-// Event log (JSON-lines)
-// ---------------------------------------------------------------------------
-
-enum TraceSink {
-    Stderr,
-    File(std::io::BufWriter<std::fs::File>),
-}
-
-fn trace_sink() -> &'static Mutex<TraceSink> {
-    static SINK: OnceLock<Mutex<TraceSink>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(TraceSink::Stderr))
-}
-
-/// Redirect the event log from stderr to `path` (truncating it).
-pub fn set_trace_file(path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    *trace_sink().lock().unwrap() = TraceSink::File(std::io::BufWriter::new(file));
-    Ok(())
-}
-
-/// Flush the event log (meaningful when routed to a file).
-pub fn flush_trace() {
-    if let TraceSink::File(w) = &mut *trace_sink().lock().unwrap() {
-        let _ = w.flush();
-    }
-}
-
-/// Emit one structured event as a JSON line, if tracing is on. Each
-/// record carries the event `kind`, milliseconds since process start
-/// (`ms`), and the given fields.
-pub fn event(kind: &str, fields: &[(&str, Json)]) {
-    if !trace_enabled() {
-        return;
-    }
-    let mut obj = Vec::with_capacity(fields.len() + 2);
-    obj.push(("event".to_string(), Json::Str(kind.to_string())));
-    obj.push((
-        "ms".to_string(),
-        Json::Num(epoch().elapsed().as_secs_f64() * 1000.0),
-    ));
-    for (k, v) in fields {
-        obj.push(((*k).to_string(), v.clone()));
-    }
-    let line = Json::Obj(obj).render();
-    match &mut *trace_sink().lock().unwrap() {
-        TraceSink::Stderr => {
-            let _ = writeln!(std::io::stderr().lock(), "{line}");
-        }
-        TraceSink::File(w) => {
-            let _ = writeln!(w, "{line}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

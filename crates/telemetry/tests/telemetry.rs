@@ -293,30 +293,6 @@ fn prometheus_round_trips_against_live_registry() {
 }
 
 #[test]
-fn events_route_to_trace_file() {
-    enabled();
-    tm::set_trace(true);
-    let path = std::env::temp_dir().join(format!("firmup-trace-{}.jsonl", std::process::id()));
-    tm::set_trace_file(&path).expect("trace file");
-    tm::event(
-        "it.event",
-        &[("k", Json::Str("v".into())), ("n", Json::Num(7.0))],
-    );
-    tm::flush_trace();
-    tm::set_trace(false);
-    let body = std::fs::read_to_string(&path).expect("trace written");
-    let line = body
-        .lines()
-        .find(|l| l.contains("it.event"))
-        .expect("event line");
-    let doc = Json::parse(line).expect("event line is valid JSON");
-    assert_eq!(doc.get("event").and_then(Json::as_str), Some("it.event"));
-    assert_eq!(doc.get("n").and_then(Json::as_u64), Some(7));
-    assert!(doc.get("ms").is_some(), "events carry a timestamp");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn local_histogram_flush_matches_direct_observation() {
     enabled();
     let values = [0u64, 1, 2, 3, 100, 5_000, u64::MAX];

@@ -99,12 +99,12 @@ impl OpReport {
 /// One targeted FUIX record-corruption trial. Unlike the blind
 /// [`CorruptOp`] stage, these rebuild the container around a damaged
 /// payload so every table offset and CRC-32 is *valid* — the damage is
-/// visible only to the typed codec (`intern` / `postings2` varint-delta
-/// decoders), which must answer with a structured error on both the
-/// eager and the lazy read path.
+/// visible only to the typed codec (the `postings2` varint-delta
+/// decoder, the `query:*` record checksum), which must answer with a
+/// structured error, never a panic.
 #[derive(Debug, Clone)]
 pub struct RecordTrial {
-    /// Record attacked (`intern`, `postings2`, or `query` — one
+    /// Record attacked (`postings2`, or `query` — one
     /// `query:<package>:<arch>` record).
     pub record: &'static str,
     /// Mutation applied (`truncated`, `bitflip`, `zero-delta`, ...).
@@ -112,31 +112,26 @@ pub struct RecordTrial {
     /// Whether the mutation is guaranteed malformed (a bitflip may land
     /// on bytes that still decode; crafted bad deltas may not).
     pub must_reject: bool,
-    /// Eager loader answered with a structured error.
-    pub eager_rejected: bool,
-    /// Eager loader accepted the blob.
-    pub eager_ok: bool,
-    /// Lazy loader (driven to full decode) answered with a structured
+    /// The loader (driven to a full decode) answered with a structured
     /// error.
-    pub lazy_rejected: bool,
-    /// Lazy loader accepted the blob.
-    pub lazy_ok: bool,
+    pub rejected: bool,
+    /// The loader accepted the blob.
+    pub ok: bool,
     /// Panics contained by the stage guard — any nonzero value is a bug.
     pub panics: u64,
-    /// `query` trials only: whether both loaders accepted the blob and a
-    /// scan of each rebuilt the damaged query (`queries_built > 0`) and
-    /// rendered the pristine findings bytes. `None` for other records.
+    /// `query` trials only: whether the loader accepted the blob and a
+    /// scan rebuilt the damaged query (`queries_built > 0`) and rendered
+    /// the pristine findings bytes. `None` for other records.
     pub fallback_matches: Option<bool>,
 }
 
 impl RecordTrial {
-    /// The invariant: no panic, no eager/lazy divergence, a
-    /// guaranteed-malformed payload rejected on both paths, and a
-    /// damaged query record costing a rebuild, never an answer.
+    /// The invariant: no panic, a guaranteed-malformed payload
+    /// rejected, and a damaged query record costing a rebuild, never an
+    /// answer.
     pub fn passed(&self) -> bool {
         self.panics == 0
-            && !(self.eager_rejected && self.lazy_ok)
-            && (!self.must_reject || (self.eager_rejected && self.lazy_rejected))
+            && (!self.must_reject || self.rejected)
             && self.fallback_matches != Some(false)
     }
 }
@@ -148,8 +143,8 @@ pub struct ChaosReport {
     pub seed: u64,
     /// One tally per operator, in [`CorruptOp::all`] order.
     pub per_op: Vec<OpReport>,
-    /// Targeted typed-codec trials against the `intern` / `postings2`
-    /// records (valid container CRCs, malformed payloads).
+    /// Targeted typed-codec trials against the `postings2` and
+    /// `query:*` records (valid container CRCs, malformed payloads).
     pub record_trials: Vec<RecordTrial>,
 }
 
@@ -214,26 +209,23 @@ impl fmt::Display for ChaosReport {
             writeln!(f, "typed-record corruption (valid CRCs):")?;
             writeln!(
                 f,
-                "  {:<11} {:<15} {:>7} {:>7} {:>7} {:>7}",
-                "record", "mutation", "eager", "lazy", "PANICS", "verdict"
+                "  {:<11} {:<15} {:>7} {:>7} {:>7}",
+                "record", "mutation", "loader", "PANICS", "verdict"
             )?;
             for t in &self.record_trials {
-                let path = |rejected: bool, ok: bool| {
-                    if rejected {
-                        "reject"
-                    } else if ok {
-                        "ok"
-                    } else {
-                        "PANIC"
-                    }
+                let loader = if t.rejected {
+                    "reject"
+                } else if t.ok {
+                    "ok"
+                } else {
+                    "PANIC"
                 };
                 writeln!(
                     f,
-                    "  {:<11} {:<15} {:>7} {:>7} {:>7} {:>7}",
+                    "  {:<11} {:<15} {:>7} {:>7} {:>7}",
                     t.record,
                     t.mutation,
-                    path(t.eager_rejected, t.eager_ok),
-                    path(t.lazy_rejected, t.lazy_ok),
+                    loader,
                     t.panics,
                     if t.passed() { "pass" } else { "FAIL" }
                 )?;
@@ -324,13 +316,24 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     }
 }
 
-/// Targeted corruption of the typed `intern` / `postings2` records: the
-/// container is rebuilt around each damaged payload with
+/// Load `blob` the way [`CorpusIndex::load`] does —
+/// [`CorpusIndex::from_bytes`] driven to a full decode by
+/// [`CorpusIndex::ensure_all`] — under a stage guard that turns a panic
+/// into a poisoned error.
+fn load_fully(blob: &[u8], tag: &str) -> Result<CorpusIndex, FirmUpError> {
+    isolate(FaultCtx::image(tag), || {
+        let index = CorpusIndex::from_bytes(blob.to_vec())?;
+        index.ensure_all()?;
+        Ok(index)
+    })
+}
+
+/// Targeted corruption of the typed `postings2` record: the container
+/// is rebuilt around each damaged payload with
 /// [`write_container_v2`](firmup_firmware::index::write_container_v2),
 /// so the table and every CRC-32 verify clean — only the varint-delta
 /// codec's own trust boundary (strict monotonicity, bounded counts) can
-/// catch the damage. Each blob goes through both read paths exactly
-/// like [`run_index_trial`].
+/// catch the damage.
 fn run_record_trials(pristine: &[u8]) -> Vec<RecordTrial> {
     use firmup_firmware::index::{push_varint, read_container, write_container_v2};
     let varints = |vals: &[u64]| {
@@ -340,50 +343,44 @@ fn run_record_trials(pristine: &[u8]) -> Vec<RecordTrial> {
         }
         out
     };
-    let mut trials = Vec::new();
+    let record = "postings2";
     let Ok(records) = read_container(pristine) else {
-        return trials;
+        return Vec::new();
     };
-    for record in ["intern", "postings2"] {
-        let Some(orig) = records.iter().find(|r| r.name == record) else {
-            continue;
-        };
-        // (mutation, guaranteed-malformed, replacement payload).
-        let mut cases: Vec<(&'static str, bool, Vec<u8>)> = vec![
-            // Cut mid-stream: the leading count promises entries the
-            // bytes can no longer deliver.
-            (
-                "truncated",
-                !orig.payload.is_empty(),
-                orig.payload[..orig.payload.len() / 2].to_vec(),
-            ),
-            // Flip bits mid-payload: may or may not still decode, but
-            // must never panic and the two paths must agree.
-            ("bitflip", false, {
-                let mut p = orig.payload.clone();
-                if !p.is_empty() {
-                    let mid = p.len() / 2;
-                    p[mid] ^= 0x55;
-                }
-                p
-            }),
-            // A count far beyond what any payload could back.
-            ("count-overrun", true, varints(&[u64::MAX])),
-        ];
-        if record == "intern" {
-            // count=2, first=5, then a zero delta: not strictly increasing.
-            cases.push(("zero-delta", true, varints(&[2, 5, 0])));
-            // first=MAX, then any positive delta overflows u64.
-            cases.push(("delta-overflow", true, varints(&[2, u64::MAX, u64::MAX])));
-        } else {
-            // 1 key: key=5, list len 2, site=7, then a zero site delta.
-            cases.push(("zero-delta", true, varints(&[1, 5, 2, 7, 0])));
-            // 2 keys: key=5 (1 site), then a zero key delta.
-            cases.push(("zero-key-delta", true, varints(&[2, 5, 1, 9, 0])));
-            // 2 keys: key=5 (1 site), then a key delta that overflows.
-            cases.push(("delta-overflow", true, varints(&[2, 5, 1, 9, u64::MAX])));
-        }
-        for (mutation, must_reject, payload) in cases {
+    let Some(orig) = records.iter().find(|r| r.name == record) else {
+        return Vec::new();
+    };
+    // (mutation, guaranteed-malformed, replacement payload).
+    let cases: Vec<(&'static str, bool, Vec<u8>)> = vec![
+        // Cut mid-stream: the leading count promises entries the bytes
+        // can no longer deliver.
+        (
+            "truncated",
+            !orig.payload.is_empty(),
+            orig.payload[..orig.payload.len() / 2].to_vec(),
+        ),
+        // Flip bits mid-payload: may or may not still decode, but must
+        // never panic.
+        ("bitflip", false, {
+            let mut p = orig.payload.clone();
+            if !p.is_empty() {
+                let mid = p.len() / 2;
+                p[mid] ^= 0x55;
+            }
+            p
+        }),
+        // A count far beyond what any payload could back.
+        ("count-overrun", true, varints(&[u64::MAX])),
+        // 1 key: key=5, list len 2, site=7, then a zero site delta.
+        ("zero-delta", true, varints(&[1, 5, 2, 7, 0])),
+        // 2 keys: key=5 (1 site), then a zero key delta.
+        ("zero-key-delta", true, varints(&[2, 5, 1, 9, 0])),
+        // 2 keys: key=5 (1 site), then a key delta that overflows.
+        ("delta-overflow", true, varints(&[2, 5, 1, 9, u64::MAX])),
+    ];
+    cases
+        .into_iter()
+        .map(|(mutation, must_reject, payload)| {
             let mut damaged = records.clone();
             damaged
                 .iter_mut()
@@ -391,51 +388,29 @@ fn run_record_trials(pristine: &[u8]) -> Vec<RecordTrial> {
                 .expect("record present")
                 .payload = payload;
             let blob = write_container_v2(&damaged);
-            let tag = format!("chaos-record[{record}:{mutation}]");
-            let eager = isolate(FaultCtx::image(&tag), || {
-                CorpusIndex::from_bytes(&blob).map_err(FirmUpError::from)
-            });
-            let lazy = isolate(FaultCtx::image(&tag), || {
-                let index =
-                    CorpusIndex::from_bytes_lazy(blob.clone()).map_err(FirmUpError::from)?;
-                index.ensure_all().map_err(FirmUpError::from)?;
-                Ok(index)
-            });
-            let mut panics = 0u64;
-            let mut verdict = |r: &Result<CorpusIndex, FirmUpError>| match r {
-                Ok(_) => (false, true),
-                Err(e) if e.is_poisoned() => {
-                    panics += 1;
-                    (false, false)
-                }
-                Err(_) => (true, false),
-            };
-            let (eager_rejected, eager_ok) = verdict(&eager);
-            let (lazy_rejected, lazy_ok) = verdict(&lazy);
-            trials.push(RecordTrial {
+            let loaded = load_fully(&blob, &format!("chaos-record[{record}:{mutation}]"));
+            let poisoned = matches!(&loaded, Err(e) if e.is_poisoned());
+            RecordTrial {
                 record,
                 mutation,
                 must_reject,
-                eager_rejected,
-                eager_ok,
-                lazy_rejected,
-                lazy_ok,
-                panics,
+                rejected: loaded.is_err() && !poisoned,
+                ok: loaded.is_ok(),
+                panics: u64::from(poisoned),
                 fallback_matches: None,
-            });
-        }
-    }
-    trials
+            }
+        })
+        .collect()
 }
 
 /// Targeted corruption of one `query:<package>:<arch>` record, with
-/// valid container CRCs: truncation and a mid-payload bitflip. Both
-/// loaders must accept the blob (a query record is a cache, not corpus
-/// state), and a scan on either must rebuild the query and render the
-/// same findings bytes as the pristine index.
+/// valid container CRCs: truncation and a mid-payload bitflip. The
+/// loader must accept the blob (a query record is a cache, not corpus
+/// state), and a scan must rebuild the query and render the same
+/// findings bytes as the pristine index.
 fn run_query_trials(pristine: &[u8]) -> Vec<RecordTrial> {
     use firmup_firmware::index::{read_container, write_container_v2};
-    let Ok(mut index) = CorpusIndex::from_bytes(pristine) else {
+    let Ok(mut index) = load_fully(pristine, "chaos-query") else {
         return Vec::new();
     };
     // One CVE, with its package's query for every arch the corpus holds
@@ -464,7 +439,7 @@ fn run_query_trials(pristine: &[u8]) -> Vec<RecordTrial> {
         .map(|out| (out.render_json(false).render(), out.queries_built))
     };
     let pristine_scan = isolate(FaultCtx::image("chaos-query"), || {
-        scan(&CorpusIndex::from_bytes(&blob)?)
+        scan(&CorpusIndex::from_bytes(blob.clone())?)
     });
     let (Ok(records), Ok((want, 0))) = (read_container(&blob), pristine_scan) else {
         return Vec::new();
@@ -488,30 +463,19 @@ fn run_query_trials(pristine: &[u8]) -> Vec<RecordTrial> {
         damaged[target].payload = payload;
         let blob = write_container_v2(&damaged);
         let tag = format!("chaos-record[query:{mutation}]");
-        let scanned = |index: CorpusIndex| {
-            let (got, built) = scan(&index)?;
+        let scanned = isolate(FaultCtx::image(&tag), || {
+            let (got, built) = scan(&CorpusIndex::from_bytes(blob.clone())?)?;
             Ok(got == want && built > 0)
-        };
-        let eager = isolate(FaultCtx::image(&tag), || {
-            scanned(CorpusIndex::from_bytes(&blob)?)
         });
-        let lazy = isolate(FaultCtx::image(&tag), || {
-            scanned(CorpusIndex::from_bytes_lazy(blob.clone())?)
-        });
-        let panics = [&eager, &lazy]
-            .iter()
-            .filter(|r| matches!(r, Err(e) if e.is_poisoned()))
-            .count() as u64;
+        let poisoned = matches!(&scanned, Err(e) if e.is_poisoned());
         trials.push(RecordTrial {
             record: "query",
             mutation,
             must_reject: false,
-            eager_rejected: matches!(&eager, Err(e) if !e.is_poisoned()),
-            eager_ok: eager.is_ok(),
-            lazy_rejected: matches!(&lazy, Err(e) if !e.is_poisoned()),
-            lazy_ok: lazy.is_ok(),
-            panics,
-            fallback_matches: Some(matches!((eager, lazy), (Ok(true), Ok(true)))),
+            rejected: scanned.is_err() && !poisoned,
+            ok: scanned.is_ok(),
+            panics: u64::from(poisoned),
+            fallback_matches: Some(matches!(scanned, Ok(true))),
         });
     }
     trials
@@ -580,33 +544,25 @@ fn run_trial(blob: &[u8], image_id: &str, canon: &CanonConfig, tally: &mut OpRep
     tally.searched += 1;
 }
 
-/// Push one damaged index blob through both persisted-index read
-/// paths: the eager loader and the lazy loader driven to full decode
-/// (`ensure_all`, where deferred payload CRCs are finally checked).
-/// Any outcome but a structured error or a successful decode (when the
-/// damage happened to land in tolerated slack) is a contained panic —
-/// and a bug. The two paths must also *agree*: damage the eager loader
-/// rejects must never survive the lazy path fully decoded.
+/// Push one damaged index blob through the loader ([`load_fully`]: the
+/// decoder driven to a full decode, where deferred payload CRCs are
+/// finally checked). Any outcome but a structured error or a
+/// successful decode (when the damage happened to land in tolerated
+/// slack) is a contained panic — and a bug. The byte layer is the
+/// independent oracle: a blob `read_container` rejects (it verifies
+/// every CRC) must never load.
 fn run_index_trial(blob: &[u8], index_id: &str, tally: &mut OpReport) {
-    let eager = isolate(FaultCtx::image(index_id), || {
-        CorpusIndex::from_bytes(blob).map_err(FirmUpError::from)
-    });
-    let lazy = isolate(FaultCtx::image(index_id), || {
-        let index = CorpusIndex::from_bytes_lazy(blob.to_vec()).map_err(FirmUpError::from)?;
-        index.ensure_all().map_err(FirmUpError::from)?;
-        Ok(index)
-    });
-    for loaded in [&eager, &lazy] {
-        match loaded {
-            Ok(_) => tally.index_ok += 1,
-            Err(e) if e.is_poisoned() => tally.panics += 1,
-            Err(_) => tally.index_errors += 1,
-        }
+    let loaded = load_fully(blob, index_id);
+    match &loaded {
+        Ok(_) => tally.index_ok += 1,
+        Err(e) if e.is_poisoned() => tally.panics += 1,
+        Err(_) => tally.index_errors += 1,
     }
-    // Divergence is a lazy-path hole: count it like a panic so the
-    // matrix fails loudly instead of averaging it away.
-    if eager.is_err() && lazy.is_ok() {
-        eprintln!("chaos: {index_id}: eager loader rejected damage the lazy path accepted");
+    // Accepting damage the byte layer rejects is a hole in the loader's
+    // verification: count it like a panic so the matrix fails loudly
+    // instead of averaging it away.
+    if loaded.is_ok() && firmup_firmware::index::read_container(blob).is_err() {
+        eprintln!("chaos: {index_id}: loader accepted damage the container CRCs reject");
         tally.panics += 1;
     }
 }

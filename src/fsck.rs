@@ -327,7 +327,7 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
     // repair.
     let base_seals: Vec<u64> = std::fs::read(index_path(dir))
         .ok()
-        .and_then(|b| CorpusIndex::from_bytes(&b).ok())
+        .and_then(|b| CorpusIndex::from_bytes(b).ok())
         .map(|ix| ix.seals().to_vec())
         .unwrap_or_default();
     let manifest_file = manifest_path(dir);
@@ -547,7 +547,9 @@ pub fn run(dir: &Path, opts: &FsckOptions) -> Result<FsckReport, FirmUpError> {
                     report.push(format!("corpus.fui record {}", c.name), verdict, detail);
                 }
                 if damaged == 0 {
-                    match CorpusIndex::from_bytes(&blob) {
+                    let decoded = CorpusIndex::from_bytes(blob)
+                        .and_then(|index| index.ensure_all().map(|()| index));
+                    match decoded {
                         Ok(index) => {
                             fui_ok = true;
                             check_queries(dir, index, opts, &mut report)?;
@@ -818,33 +820,37 @@ mod tests {
     }
 
     #[test]
-    fn v2_intern_and_postings2_records_are_individually_checked() {
+    fn v2_postings2_record_is_individually_checked() {
         let (dir, _ckpt) = setup("v2rec");
         let report = run(&dir, &FsckOptions::default()).unwrap();
-        for name in ["corpus.fui record intern", "corpus.fui record postings2"] {
-            assert!(
-                report
-                    .rows
-                    .iter()
-                    .any(|r| r.what == name && r.verdict == Verdict::Ok),
-                "missing per-record verdict for {name}: {report}"
-            );
-        }
+        assert!(
+            report
+                .rows
+                .iter()
+                .any(|r| r.what == "corpus.fui record postings2" && r.verdict == Verdict::Ok),
+            "missing per-record verdict for postings2: {report}"
+        );
+        // No interner record is written: it is derived from postings2.
+        assert!(
+            !report.rows.iter().any(|r| r.what.contains("intern")),
+            "{report}"
+        );
         // Valid-CRC typed damage: rebuild the container around a
-        // zero-delta intern payload. Every record CRC verifies clean,
-        // so only the full typed decode can condemn the file — the row
-        // must land on corpus.fui itself with the codec's diagnosis.
+        // zero-delta postings2 payload (1 key, 2 sites, second delta 0).
+        // Every record CRC verifies clean, so only the full typed decode
+        // can condemn the file — the row must land on corpus.fui itself
+        // with the codec's diagnosis.
         let fui = index_path(&dir);
         let blob = std::fs::read(&fui).unwrap();
         let mut records = firmup_firmware::index::read_container(&blob).unwrap();
         let mut payload = Vec::new();
-        for v in [2u64, 5, 0] {
+        for v in [1u64, 5, 2, 7, 0] {
             firmup_firmware::index::push_varint(&mut payload, v);
         }
         records
             .iter_mut()
-            .find(|r| r.name == "intern")
-            .expect("v2 index carries an intern record")
+            .find(|r| r.name == "postings2")
+            .expect("index carries a postings2 record")
             .payload = payload;
         let damaged = firmup_firmware::index::write_container_v2(&records);
         std::fs::write(&fui, &damaged).unwrap();
@@ -857,6 +863,35 @@ mod tests {
             "typed decode did not diagnose the codec damage: {report}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_and_version_0_corpus_files_are_damaged_with_the_rebuild_hint() {
+        for version in [1u32, 0] {
+            let (dir, _ckpt) = setup(&format!("version{version}"));
+            let fui = index_path(&dir);
+            let mut blob = std::fs::read(&fui).unwrap();
+            blob[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&fui, &blob).unwrap();
+            let report = run(&dir, &FsckOptions::default()).unwrap();
+            assert_eq!(report.outcome(), FsckOutcome::Unrepairable, "{report}");
+            assert!(
+                report.rows.iter().any(|r| r.what == "corpus.fui"
+                    && r.verdict == Verdict::Damaged
+                    && r.detail
+                        .contains(&format!("unsupported index format version {version}"))
+                    && r.detail.contains("rebuild with `firmup index`")),
+                "{report}"
+            );
+            // --repair rebuilds a current-format file from the segments.
+            let repair = FsckOptions {
+                repair: true,
+                ..FsckOptions::default()
+            };
+            assert_eq!(run(&dir, &repair).unwrap().outcome(), FsckOutcome::Repaired);
+            assert_eq!(CorpusIndex::load(&dir).unwrap().len(), 2);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub fn compact(dir: &Path) -> Result<CompactReport, FirmUpError> {
             epoch: 0,
         });
     };
-    // The eager union *is* the compacted corpus: executables in
+    // The fully loaded union *is* the compacted corpus: executables in
     // ingestion order, merged context/postings identical to a
     // from-scratch build, seals extended by the folded digests.
     let index = CorpusIndex::load(dir)?;

@@ -163,7 +163,7 @@ USAGE:
         manifest to its longest verifiable prefix, and rewrites
         corpus.fui from verified segments.
     firmup scan IMAGE... [--index DIR] [--cve CVE-ID] [--threads N]
-                [--top-k K] [--format text|json] [--explain] [--trace]
+                [--top-k K] [--format text|json] [--explain]
                 [--trace-out FILE.json] [--metrics-out FILE.json]
                 [--game-ms N] [--target-ms N] [--scan-ms N] [--max-steps N]
         Hunt the built-in CVE queries inside firmware images. With
@@ -180,8 +180,7 @@ USAGE:
         the profile move to stderr); text (the default) prints one line
         per finding. Prints a stage-by-stage profile; --metrics-out
         additionally writes the full metrics snapshot (span timings,
-        game.steps histogram, counters) as JSON, atomically. --trace (or
-        FIRMUP_TRACE=1) streams structured JSON-lines events to stderr.
+        game.steps histogram, counters) as JSON, atomically.
         The scan is fault tolerant: unreadable/corrupt images are
         reported and skipped, a damaged index is a structured error, a
         panicking target poisons only itself, the --*-ms / --max-steps
@@ -249,7 +248,7 @@ USAGE:
 ";
 
 /// Flags that consume the following argument as their value. Everything
-/// else starting with `--` is a boolean flag (e.g. `--trace`,
+/// else starting with `--` is a boolean flag (e.g. `--explain`,
 /// `--resume`, `--repair`, `--crash-matrix`).
 const VALUE_FLAGS: &[&str] = &[
     "--out",
@@ -295,7 +294,7 @@ fn positional(args: &[String]) -> Vec<&String> {
         let a = &args[i];
         if a.starts_with("--") {
             // Only flags in the table consume a value; boolean flags
-            // (`--trace`) must not eat the following positional.
+            // (`--explain`) must not eat the following positional.
             i += if VALUE_FLAGS.contains(&a.as_str()) {
                 2
             } else {
@@ -773,19 +772,16 @@ fn scan(args: &[String]) -> Result<(), CliError> {
         "scan.query_records_rejected",
         "scan.errors.query",
         "unpack.parts_quarantined",
+        "unpack.issues",
         "index.cache_hit",
         "index.reps_decoded",
         "index.bytes_mapped",
         "index.arena_bytes",
-        "index.interner_rebuilt",
         "prefilter.candidates",
         "rep.clones",
         "io.retries",
     ] {
         let _ = firmup::telemetry::counter(name);
-    }
-    if has_flag(args, "--trace") {
-        firmup::telemetry::set_trace(true);
     }
     let mode = match flag_value(args, "--format") {
         None | Some("text") => OutputMode::Text,
@@ -802,18 +798,10 @@ fn scan(args: &[String]) -> Result<(), CliError> {
     }
     firmup::shutdown::install();
     let metrics_out = flag_value(args, "--metrics-out").map(PathBuf::from);
-    let (findings, interrupted) = {
+    let (_, interrupted) = {
         let _span = firmup::telemetry::span!("scan");
         scan_images(args, mode)?
     };
-    firmup::telemetry::event(
-        "scan.done",
-        &[(
-            "findings",
-            firmup::telemetry::json::Json::Num(findings as f64),
-        )],
-    );
-    firmup::telemetry::flush_trace();
     // In JSON mode stdout carries exactly one document: the findings.
     // Everything informational — profile included — goes to stderr.
     let info = |msg: String| {

@@ -39,8 +39,9 @@ use firmup_telemetry::json::Json;
 /// (`image:part`), and the raw ELF bytes.
 pub type PartJob = (FaultCtx, String, Vec<u8>);
 
-/// Unpack one image blob into its part jobs. Emits an `unpack.issue`
-/// telemetry event per degraded-but-recoverable issue.
+/// Unpack one image blob into its part jobs. Each degraded-but-recoverable
+/// issue adds one `unpack.issues` and marks an `unpack.issue` instant on
+/// the span trace.
 ///
 /// # Errors
 ///
@@ -50,15 +51,10 @@ pub fn unpack_parts(tag: &str, bytes: &[u8]) -> Result<Vec<PartJob>, FirmUpError
     let img_ctx = FaultCtx::image(tag);
     let u = isolate(img_ctx.clone(), || unpack(bytes).map_err(FirmUpError::from))?;
     for issue in &u.issues {
-        firmup_telemetry::event(
+        firmup_telemetry::incr("unpack.issues");
+        firmup_telemetry::trace_instant(
             "unpack.issue",
-            &[
-                ("image", firmup_telemetry::json::Json::Str(tag.to_string())),
-                (
-                    "issue",
-                    firmup_telemetry::json::Json::Str(format!("{issue:?}")),
-                ),
-            ],
+            &[("image", tag.to_string()), ("issue", format!("{issue:?}"))],
         );
     }
     Ok(u.parts
@@ -687,9 +683,9 @@ pub fn run_scan(
     };
 
     // Phase 2 — decode the union of every job's candidates (a no-op on
-    // eager indexes; on lazy ones this is the only place executable
-    // payloads are read, batched so the parallel pass below borrows
-    // infallibly), then decompose candidate lists along the index's
+    // built or fully loaded indexes; on opened ones this is the only
+    // place executable payloads are read, batched so the parallel pass
+    // below borrows infallibly), then decompose candidate lists along the index's
     // shard boundaries into fine-grained (query × candidate-shard) work
     // units and execute them all in one work-stealing pass sharing a
     // single scan-wide budget.
@@ -788,16 +784,6 @@ pub fn run_scan(
                 } else {
                     None
                 };
-                firmup_telemetry::event(
-                    "finding",
-                    &[
-                        ("cve", Json::Str(cve.cve.to_string())),
-                        ("target", Json::Str(id.clone())),
-                        ("addr", Json::Num(f64::from(m.addr))),
-                        ("sim", Json::Num(m.sim as f64)),
-                        ("steps", Json::Num(r.steps as f64)),
-                    ],
-                );
                 out.findings.push(ScanFinding {
                     cve: *cve,
                     version: job.query.2.clone(),

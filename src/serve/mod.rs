@@ -271,7 +271,6 @@ pub fn run(cfg: &ServeConfig) -> Result<u8, String> {
     });
 
     // All workers joined: every admitted request has been answered.
-    firmup_telemetry::flush_trace();
     let snap = firmup_telemetry::snapshot();
     eprint!("{}", snap.render_text());
     if let Some(path) = &cfg.metrics_out {

@@ -37,13 +37,13 @@ fn chaos_matrix_contains_every_operator_with_zero_panics() {
             op.op.name()
         );
         // The index-corruption stage pushes each damaged blob through
-        // both read paths (eager load and lazy load driven to full
-        // decode) and every attempt must be equally accounted for: a
-        // structured IndexError or a load the damage happened to leave
-        // decodable — never a panic (counted above).
+        // the loader driven to a full decode, and every attempt must be
+        // accounted for: a structured IndexError or a load the damage
+        // happened to leave decodable — never a panic, and never a load
+        // of a blob the container CRCs reject (both counted above).
         assert_eq!(
             op.index_errors + op.index_ok,
-            2 * op.trials,
+            op.trials,
             "{}: unaccounted index trial",
             op.op.name()
         );
@@ -57,7 +57,7 @@ fn chaos_matrix_contains_every_operator_with_zero_panics() {
 }
 
 #[test]
-fn typed_record_corruption_is_rejected_on_both_read_paths() {
+fn typed_record_corruption_is_rejected_by_the_loader() {
     let report = run(&ChaosConfig {
         seed: PINNED_SEED,
         devices: 1,
@@ -65,45 +65,42 @@ fn typed_record_corruption_is_rejected_on_both_read_paths() {
     });
     assert!(
         !report.record_trials.is_empty(),
-        "no intern/postings2 record trials ran — v2 records missing from the pristine index?"
+        "no postings2 record trials ran — record missing from the pristine index?"
     );
-    for record in ["intern", "postings2"] {
-        for mutation in [
-            "truncated",
-            "bitflip",
-            "count-overrun",
-            "zero-delta",
-            "delta-overflow",
-        ] {
-            assert!(
-                report
-                    .record_trials
-                    .iter()
-                    .any(|t| t.record == record && t.mutation == mutation),
-                "missing trial {record}:{mutation}"
-            );
-        }
+    for mutation in [
+        "truncated",
+        "bitflip",
+        "count-overrun",
+        "zero-delta",
+        "zero-key-delta",
+        "delta-overflow",
+    ] {
+        assert!(
+            report
+                .record_trials
+                .iter()
+                .any(|t| t.record == "postings2" && t.mutation == mutation),
+            "missing trial postings2:{mutation}"
+        );
     }
-    // A damaged query record is a cache miss on both loaders: the scan
-    // rebuilds the query and renders the pristine findings bytes.
+    // A damaged query record is a cache miss: the scan rebuilds the
+    // query and renders the pristine findings bytes.
     for mutation in ["truncated", "bitflip"] {
         let t = report
             .record_trials
             .iter()
             .find(|t| t.record == "query" && t.mutation == mutation)
             .unwrap_or_else(|| panic!("missing trial query:{mutation}"));
-        assert!(t.eager_ok && t.lazy_ok, "query:{mutation}: {t:?}");
+        assert!(t.ok, "query:{mutation}: {t:?}");
         assert_eq!(t.fallback_matches, Some(true), "query:{mutation}: {t:?}");
     }
     for t in &report.record_trials {
         assert!(
             t.passed(),
-            "{}:{} violated the codec trust boundary \
-             (eager_rejected={} lazy_rejected={} panics={})",
+            "{}:{} violated the codec trust boundary (rejected={} panics={})",
             t.record,
             t.mutation,
-            t.eager_rejected,
-            t.lazy_rejected,
+            t.rejected,
             t.panics
         );
     }

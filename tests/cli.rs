@@ -106,11 +106,11 @@ fn scan_metrics_out_writes_parseable_profile() {
 
     let metrics = dir.join("metrics.json");
     let mut cmd = firmup();
-    // `--trace` is a boolean flag: it must NOT swallow the image paths
+    // `--explain` is a boolean flag: it must NOT swallow the image paths
     // that follow it (the regression `positional()` used to have).
     cmd.args([
         "scan",
-        "--trace",
+        "--explain",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
@@ -126,18 +126,6 @@ fn scan_metrics_out_writes_parseable_profile() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("stages (by total time):"), "{text}");
     assert!(text.contains("metrics written to"), "{text}");
-
-    // --trace streams JSON-lines events to stderr.
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let event_lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
-    assert!(
-        !event_lines.is_empty(),
-        "no trace events on stderr: {stderr}"
-    );
-    for line in &event_lines {
-        let doc = Json::parse(line).expect("trace line is valid JSON");
-        assert!(doc.get("event").is_some(), "{line}");
-    }
 
     // The metrics file parses and carries the acceptance-criteria
     // content: per-stage span timings and a populated game profile.
@@ -322,7 +310,6 @@ fn scan_json_stdout_stays_pure_with_observability_flags() {
         "--format",
         "json",
         "--explain",
-        "--trace",
         "--threads",
         "2",
         "--metrics-out",

@@ -216,47 +216,92 @@ fn lazy_warm_scan_reports_decode_counters_and_maps_the_whole_blob() {
     );
 }
 
+/// Copy the `corpus.fui` of index `idx` into the directory `out`,
+/// rewritten without its `query:*` records — the same corpus, but
+/// every query of a scan over the copy is compiled fresh.
+fn copy_without_query_records(idx: &Path, out: &Path) {
+    use firmup::firmware::index::{index_path, read_container, write_container_v2};
+    let blob = std::fs::read(index_path(idx)).expect("read corpus.fui");
+    let records: Vec<_> = read_container(&blob)
+        .expect("pristine index")
+        .into_iter()
+        .filter(|r| !r.name.starts_with("query:"))
+        .collect();
+    std::fs::create_dir_all(out).unwrap();
+    std::fs::write(index_path(out), write_container_v2(&records)).unwrap();
+}
+
 #[test]
-fn v1_index_scans_byte_identically_to_v2() {
-    let dir = temp_dir("v1-compat");
-    let images = gen_corpus(&dir, "3");
-    let idx_v2 = dir.join("idx-v2");
+fn v1_or_version_0_index_is_rejected_with_a_rebuild_hint() {
+    let dir = temp_dir("old-format");
+    let images = gen_corpus(&dir, "2");
+    let idx = dir.join("idx");
     assert!(firmup()
         .arg("index")
         .args(&images)
-        .args(["--out", idx_v2.to_str().unwrap()])
+        .args(["--out", idx.to_str().unwrap()])
         .output()
         .expect("spawn")
         .status
         .success());
+    let blob = std::fs::read(idx.join("corpus.fui")).unwrap();
+    const HINT: &str = "this build reads only format 2 — rebuild with `firmup index`";
+    for version in [1u32, 0] {
+        let old = dir.join(format!("idx-v{version}"));
+        std::fs::create_dir_all(&old).unwrap();
+        let mut bytes = blob.clone();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(old.join("corpus.fui"), &bytes).unwrap();
+        let old_s = old.to_str().unwrap();
 
-    // Rewrite the same corpus in the historical v1 container (no
-    // offset table, no exemeta sidecar) — the eager-only format every
-    // pre-v2 build wrote.
-    let idx_v1 = dir.join("idx-v1");
-    std::fs::create_dir_all(&idx_v1).unwrap();
-    let corpus = firmup::core::persist::CorpusIndex::load(&idx_v2).expect("load v2");
-    corpus.save_v1(&idx_v1).expect("save v1");
-
-    let scan = |idx: &Path| {
         let out = firmup()
-            .args(["scan", "--index", idx.to_str().unwrap(), "--top-k", "2"])
+            .args(["scan", "--index", old_s])
             .output()
             .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "v{version} scan: {stderr}");
+        assert!(stderr.contains(HINT), "v{version} scan: {stderr}");
         assert!(
-            out.status.success(),
-            "scan failed: {}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("unsupported index format version {version}")),
+            "{stderr}"
         );
-        findings(&String::from_utf8_lossy(&out.stdout))
-    };
-    let v2_findings = scan(&idx_v2);
-    let v1_findings = scan(&idx_v1);
-    assert!(!v2_findings.is_empty(), "v2 scan found nothing");
-    assert_eq!(
-        v2_findings, v1_findings,
-        "v1 eager and v2 lazy scans must agree byte for byte"
-    );
+        assert!(!stderr.contains("panicked"), "v{version} scan: {stderr}");
+
+        let out = firmup().args(["fsck", old_s]).output().expect("spawn");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "v{version} fsck: {stdout}");
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.contains("corpus.fui") && l.contains("DAMAGED") && l.contains(HINT)),
+            "v{version} fsck: {stdout}"
+        );
+
+        // serve refuses to start: it exits on its own, with the hint.
+        let mut child = firmup()
+            .args(["serve", "--index", old_s, "--listen", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll serve") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("serve started on a v{version} index");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "v{version} serve: {stderr}");
+        assert!(stderr.contains(HINT), "v{version} serve: {stderr}");
+        assert!(!stderr.contains("panicked"), "v{version} serve: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -485,10 +530,10 @@ fn warm_scan_loads_persisted_queries_and_matches_fresh_builds() {
         "index must carry one query record per (package, arch)"
     );
 
-    // The same corpus without query records: the v1 container never
-    // carries them, so every query of a scan is compiled fresh.
+    // The same corpus without query records, so every query of a scan
+    // is compiled fresh.
     let fresh = dir.join("idx-fresh");
-    index.save_v1(&fresh).expect("save v1");
+    copy_without_query_records(&idx, &fresh);
     let idx_s = idx.to_str().unwrap();
     let fresh_s = fresh.to_str().unwrap();
 

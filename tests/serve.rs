@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use firmup::firmware::index::{index_path, read_container, write_container_v2};
 use firmup::serve::protocol::{http_request, HttpResponse};
 use firmup::telemetry::json::Json;
 
@@ -433,7 +434,15 @@ fn first_response_from_persisted_queries_matches_cli_across_reload() {
         index.query_names().count() > 0,
         "index carries no query records"
     );
-    index.save_v1(&dir.join("idx-fresh")).expect("save v1");
+    // The same corpus without its query records.
+    let fresh_fui = index_path(&dir.join("idx-fresh"));
+    let records: Vec<_> = read_container(&std::fs::read(index_path(&dir.join("idx"))).unwrap())
+        .expect("pristine index")
+        .into_iter()
+        .filter(|r| !r.name.starts_with("query:"))
+        .collect();
+    std::fs::create_dir_all(dir.join("idx-fresh")).unwrap();
+    std::fs::write(&fresh_fui, write_container_v2(&records)).unwrap();
     let fresh = firmup_bin()
         .args(["scan", "--index", "idx-fresh", "--format", "json"])
         .current_dir(&dir)
@@ -460,11 +469,7 @@ fn first_response_from_persisted_queries_matches_cli_across_reload() {
     assert!(counter("firmup_scan_queries_loaded_total") > 0.0);
     assert_eq!(counter("firmup_scan_queries_built_total"), 0.0);
 
-    std::fs::copy(
-        firmup::firmware::index::index_path(&dir.join("idx-fresh")),
-        firmup::firmware::index::index_path(&dir.join("idx")),
-    )
-    .expect("republish index");
+    std::fs::copy(&fresh_fui, index_path(&dir.join("idx"))).expect("republish index");
     d.signal("-HUP");
     let deadline = Instant::now() + TIMEOUT;
     loop {
