@@ -74,8 +74,8 @@ fn main() {
             &ex::render_index_bench(&ex::bench_index(scale)),
         );
     }
-    // The scan-scaling benchmark also builds its own corpus (it measures
-    // the scan decomposition end to end); with a checked-in baseline it
+    // The scan-scaling benchmark also builds its own corpus and times
+    // `pipeline::run_scan` on it; with a checked-in baseline it
     // doubles as a regression gate: exit 1 on a speedup/determinism
     // regression, warn on improvement.
     if matches!(which, "scan-bench") {

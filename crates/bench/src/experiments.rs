@@ -841,27 +841,24 @@ pub struct IndexBench {
 /// index. Both are then searched with the same query to verify the
 /// cache changes *when* the work happens, never *what* is found.
 pub fn bench_index(scale: usize) -> IndexBench {
-    use firmup_core::canon::CanonConfig;
+    use firmup::pipeline::lift_image;
     use firmup_core::persist::CorpusIndex;
     use firmup_core::search::search_corpus;
-    use firmup_core::sim::index_elf;
     use firmup_firmware::corpus::{generate, CorpusConfig};
-    use firmup_firmware::image::unpack;
 
     let corpus = generate(&CorpusConfig {
         devices: 6 * scale.max(1),
         max_firmware_versions: 2,
         ..CorpusConfig::default()
     });
-    let canon = CanonConfig::default();
+    // One lift thread keeps `cold_ms` a serial figure; the `img{i}` tag
+    // keeps executable ids unique across images.
     let cold_run = || {
         let mut reps = Vec::new();
-        for img in &corpus.images {
-            let unpacked = unpack(&img.blob).expect("corpus images unpack");
-            for part in &unpacked.parts {
-                let elf = firmup_obj::Elf::parse(&part.data).expect("corpus parts parse");
-                reps.push(index_elf(&elf, &part.name, &canon).expect("corpus parts lift"));
-            }
+        for (i, img) in corpus.images.iter().enumerate() {
+            reps.extend(
+                lift_image(&format!("img{i}"), &img.blob, 1).expect("corpus images unpack"),
+            );
         }
         CorpusIndex::build(reps)
     };
@@ -936,15 +933,16 @@ pub fn bench_index(scale: usize) -> IndexBench {
 /// triple.
 #[derive(Debug, Clone)]
 pub struct ScanBenchCell {
-    /// `"cold"` (index built in memory) or `"warm"` (index file opened
-    /// lazily).
+    /// `"cold"` (the index `CorpusIndex::build` made in memory) or
+    /// `"warm"` (the saved index file, `open`ed lazily, with the
+    /// persisted `query:*` records `firmup index` writes).
     pub mode: &'static str,
     /// Worker thread count for the work-stealing executor.
     pub threads: usize,
     /// `--top-k` prefilter trim per job (0 = every same-arch target).
     pub top_k: usize,
-    /// Wall-clock time of the full CVE sweep in milliseconds (for
-    /// `top_k > 0` cells this includes the lazy candidate decode).
+    /// Best-of-3 wall-clock time of one `run_scan` in milliseconds, with
+    /// the index's query cache and decoded candidates already warm.
     pub wall_ms: f64,
     /// Target games played per second.
     pub targets_per_sec: f64,
@@ -957,8 +955,9 @@ pub struct ScanBenchCell {
     /// same-top-k cold serial reference — the determinism invariant
     /// (every thread count, cold ≡ warm), measured.
     pub results_equal: bool,
-    /// Executable payloads decoded during this cell (warm mode only;
-    /// 0 for built indexes or already-cached slots).
+    /// Executable payloads decoded for this cell, counting its index's
+    /// warm-up sweep when the cell is the first on that index (warm
+    /// mode only; 0 for built indexes or already-decoded slots).
     pub reps_decoded: u64,
     /// Median per-target game latency (µs, from `search.target_us`).
     pub p50_target_us: f64,
@@ -980,7 +979,8 @@ pub struct ScanBench {
     pub executables: usize,
     /// Procedures in the corpus (the paper-adjacent size axis).
     pub procedures: usize,
-    /// Target games per full (top_k = 0) sweep (jobs × candidates).
+    /// Target games per full (top_k = 0) sweep: the `search.target_us`
+    /// count of the untimed warm-up sweep.
     pub plays: usize,
     /// `available_parallelism()` of the host — speedups above 1 are
     /// physically impossible when this is 1, so gates on speedup only
@@ -1064,228 +1064,109 @@ fn scan_bench_config(preset: &str) -> Option<firmup_firmware::corpus::CorpusConf
     ScalePreset::parse(preset).map(|p| p.config())
 }
 
-/// Measure how the sharded, work-stealing scan executor scales: the full
-/// built-in CVE hunt (every query × every same-arch target, exactly the
-/// `firmup scan` decomposition) swept over threads ∈ {1, 2, 4, 8}
-/// (`quick`: {1, 2, 4}) × two index modes — cold (built in memory) and
-/// warm (index file, lazy load) — plus a `--top-k` sensitivity series
-/// on the warm index, where per-scan decode cost tracks the candidate
-/// set. Every cell's merged findings are fingerprinted against the
-/// same-top-k cold serial reference — `results_equal` is the
-/// determinism invariant (every thread count, cold ≡ warm), measured
-/// rather than assumed.
+/// Measure how the scan scales: every cell times
+/// [`firmup::pipeline::run_scan`] — the scan `firmup scan` and
+/// `firmup serve` run — hunting every built-in CVE, swept over threads
+/// ∈ {1, 2, 4, 8} (`quick`: {1, 2, 4}) × two index modes — cold (built
+/// in memory) and warm (the saved file, opened lazily) — plus a
+/// `--top-k` sensitivity series on freshly opened warm indexes. Each
+/// index keeps one [`QueryCache`](firmup::pipeline::QueryCache), filled
+/// by one untimed warm-up sweep (`serve`'s steady state). Every cell's
+/// findings document is fingerprinted against the same-top-k cold
+/// serial reference — `results_equal` is the determinism invariant
+/// (every thread count, cold ≡ warm), measured rather than assumed.
 ///
 /// # Panics
 ///
 /// On an unknown preset name, or on corpus/index construction failures
 /// (internal bugs the package tests rule out).
 pub fn bench_scan(preset: &str) -> ScanBench {
-    use firmup_core::canon::CanonConfig;
-    use firmup_core::executor::resolve_threads;
-    use firmup_core::persist::CorpusIndex;
-    use firmup_core::search::{
-        merge_outcomes, prefilter_candidates, scan_units, ScanBudget, ScanUnit,
+    use firmup::pipeline::{
+        build_queries, lift_image, query_keys, run_scan, store_queries, QueryCache, ScanOptions,
     };
-    use firmup_core::sim::{index_elf, ExecutableRep};
-    use firmup_firmware::corpus::{generate, try_build_query};
-    use firmup_firmware::image::unpack;
-    use firmup_firmware::packages::all_cves;
+    use firmup_core::persist::CorpusIndex;
+    use firmup_core::search::ScanBudget;
+    use firmup_firmware::corpus::generate;
+
+    /// Timed sweeps per cell: the best wall counts, and the repeats
+    /// double as a run-to-run determinism check.
+    const SWEEPS: usize = 3;
 
     firmup_telemetry::enable();
     let config =
         scan_bench_config(preset).unwrap_or_else(|| panic!("unknown scan-bench preset `{preset}`"));
     let devices = config.devices;
     let corpus = generate(&config);
-    let canon = CanonConfig::default();
     let arena_before = firmup_telemetry::counter("index.arena_bytes").get();
     let mut reps = Vec::new();
-    for (ii, img) in corpus.images.iter().enumerate() {
-        let unpacked = unpack(&img.blob).expect("corpus images unpack");
-        for part in &unpacked.parts {
-            let elf = firmup_obj::Elf::parse(&part.data).expect("corpus parts parse");
-            let id = format!("img{ii}:{}", part.name);
-            reps.push(index_elf(&elf, &id, &canon).expect("corpus parts lift"));
-        }
+    for (i, img) in corpus.images.iter().enumerate() {
+        reps.extend(lift_image(&format!("img{i}"), &img.blob, 1).expect("corpus images unpack"));
     }
     let alloc_bytes = firmup_telemetry::counter("index.arena_bytes").get() - arena_before;
-    let cold = CorpusIndex::build(reps);
+    let mut cold = CorpusIndex::build(reps);
     let postings_bytes = cold.postings.resident_bytes() as u64;
+    // The `query:*` records `firmup index` writes.
+    let keys = query_keys();
+    store_queries(&mut cold, &keys, build_queries(&keys, 0));
     let dir = std::env::temp_dir().join(format!("firmup-bench-scan-{}", std::process::id()));
     cold.save(&dir).expect("save index");
-    // Top-k cells below reopen the file fresh so the decode counter
-    // starts from an empty cache.
     let warm = CorpusIndex::open(&dir).expect("open index");
 
-    // Jobs exactly as `firmup scan` builds them: one per (CVE, arch
-    // group), query compiled once per (package, arch).
-    let mut arch_groups: Vec<(Arch, Vec<usize>)> = Vec::new();
-    for i in 0..cold.len() {
-        let arch = cold.exe_arch(i);
-        match arch_groups.iter_mut().find(|(a, _)| *a == arch) {
-            Some((_, members)) => members.push(i),
-            None => arch_groups.push((arch, vec![i])),
-        }
-    }
-    let mut query_store: Vec<ExecutableRep> = Vec::new();
-    let mut cache: std::collections::HashMap<(String, Arch), Option<usize>> =
-        std::collections::HashMap::new();
-    // (query-store index, query procedure, CVE id, arch, candidates)
-    let mut jobs: Vec<(usize, usize, &'static str, Arch, Vec<usize>)> = Vec::new();
-    for cve in all_cves() {
-        for (arch, members) in &arch_groups {
-            let slot = *cache
-                .entry((cve.package.to_string(), *arch))
-                .or_insert_with(|| {
-                    try_build_query(cve.package, *arch)
-                        .ok()
-                        .and_then(|(elf, _)| index_elf(&elf, "query", &canon).ok())
-                        .map(|rep| {
-                            query_store.push(rep);
-                            query_store.len() - 1
-                        })
-                });
-            let Some(qi) = slot else { continue };
-            let Some(qv) = query_store[qi].find_named(cve.procedure) else {
-                continue;
-            };
-            jobs.push((qi, qv, cve.cve, *arch, members.clone()));
-        }
-    }
-    let plays: usize = jobs.iter().map(|(.., members)| members.len()).sum();
-
-    // One sweep: trim each job's candidates to top-k (0 = all), decode
-    // the union (a warm index pays here — included in the wall), then
-    // decompose along shard boundaries, run every unit, and fingerprint
-    // the merged findings (content + stable ids only).
-    let run_sweep = |index: &CorpusIndex, threads: usize, top_k: usize| -> (f64, Vec<String>) {
-        let t0 = Instant::now();
-        let job_candidates: Vec<Vec<usize>> = jobs
-            .iter()
-            .map(|(qi, qv, _, arch, members)| {
-                if top_k == 0 {
-                    return members.clone();
-                }
-                prefilter_candidates(
-                    &query_store[*qi].procedures[*qv],
-                    &index.postings,
-                    Some(&index.context),
-                    0,
-                )
-                .into_iter()
-                .map(|(i, _)| i)
-                .filter(|&i| index.exe_arch(i) == *arch)
-                .take(top_k)
-                .collect()
-            })
-            .collect();
-        let mut wanted: Vec<usize> = job_candidates.iter().flatten().copied().collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        index.ensure_decoded(wanted).expect("decode candidates");
-        let shards = index.shard_ranges(resolve_threads(threads) * 4);
-        let mut units: Vec<ScanUnit> = Vec::new();
-        for (j, members) in job_candidates.iter().enumerate() {
-            for shard in &shards {
-                let targets: Vec<usize> = members
-                    .iter()
-                    .copied()
-                    .filter(|i| shard.contains(i))
-                    .collect();
-                if !targets.is_empty() {
-                    units.push(ScanUnit { job: j, targets });
-                }
-            }
-        }
-        let job_queries: Vec<(&ExecutableRep, usize)> = jobs
-            .iter()
-            .map(|&(qi, qv, ..)| (&query_store[qi], qv))
-            .collect();
-        let config = SearchConfig {
-            context: Some(index.context.clone()),
+    // One sweep is one `run_scan`, fingerprinted by the bytes of its
+    // findings document.
+    let run_sweep = |index: &CorpusIndex, cache: &QueryCache, threads: usize, top_k: usize| {
+        let opts = ScanOptions {
             threads,
-            ..SearchConfig::default()
+            top_k,
+            ..ScanOptions::default()
         };
-        let view = index.rep_view();
-        let per_unit = scan_units(
-            &job_queries,
-            &units,
-            &view,
-            &config,
-            &ScanBudget::unlimited(),
-            &|| false,
-        );
+        let t0 = Instant::now();
+        let out = run_scan(index, &opts, &ScanBudget::unlimited(), cache, &|| false)
+            .expect("scan the bench index");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut per_job: Vec<Vec<Vec<firmup_core::search::TargetOutcome>>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        for (unit, outs) in units.iter().zip(per_unit) {
-            per_job[unit.job].push(outs);
-        }
-        let mut fingerprint: Vec<String> = Vec::new();
-        for (job, outs) in jobs.iter().zip(per_job) {
-            let cve = job.2;
-            for o in merge_outcomes(outs) {
-                if let Some(r) = o.result() {
-                    if let Some(m) = &r.matched {
-                        fingerprint.push(format!(
-                            "{cve}|{}|{:#x}|{}|{}",
-                            o.target_id(),
-                            m.addr,
-                            m.sim,
-                            r.steps
-                        ));
-                    }
-                }
-            }
-        }
-        (wall_ms, fingerprint)
+        (wall_ms, out.findings.len(), out.render_json(false).render())
     };
+    let decoded = || firmup_telemetry::counter("index.reps_decoded").get();
 
     let quick = preset == "quick";
     let sweep: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let reps_counter = |snap: &firmup_telemetry::Snapshot| -> u64 {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == "index.reps_decoded")
-            .map_or(0, |&(_, v)| v)
+    let widest = *sweep.last().unwrap_or(&1);
+    // The untimed warm-up that fills `cache`; returns the games it played.
+    let warm_up = |index: &CorpusIndex, cache: &QueryCache, top_k: usize| {
+        let before = firmup_telemetry::snapshot();
+        run_sweep(index, cache, widest, top_k);
+        histogram_delta(&before, &firmup_telemetry::snapshot(), "search.target_us").count as usize
     };
     let mut cells = Vec::new();
     // Per-top-k references: every (mode, threads) cell must reproduce
     // the cold serial fingerprint for its own top-k.
-    let mut references: std::collections::HashMap<usize, Vec<String>> =
-        std::collections::HashMap::new();
+    let mut references: std::collections::HashMap<usize, String> = std::collections::HashMap::new();
+    // `decoded_from` is the decode counter before this cell's index
+    // warm-up, or after the previous cell on the same index.
     let mut measure = |index: &CorpusIndex,
+                       cache: &QueryCache,
                        mode: &'static str,
                        threads: usize,
                        top_k: usize,
-                       serial_wall: f64|
+                       serial_wall: f64,
+                       decoded_from: u64|
      -> f64 {
         let before = firmup_telemetry::snapshot();
-        // Best of three: sub-100ms sweeps are jitter-prone, and the
-        // repeats double as a run-to-run determinism check.
-        let (mut wall_ms, fp) = run_sweep(index, threads, top_k);
+        let (mut wall_ms, findings, fp) = run_sweep(index, cache, threads, top_k);
         let mut stable = true;
-        for _ in 0..2 {
-            let (w, fp_rep) = run_sweep(index, threads, top_k);
+        for _ in 1..SWEEPS {
+            let (w, _, fp_rep) = run_sweep(index, cache, threads, top_k);
             wall_ms = wall_ms.min(w);
             stable &= fp_rep == fp;
         }
-        let after = firmup_telemetry::snapshot();
-        let h = histogram_delta(&before, &after, "search.target_us");
+        let h = histogram_delta(&before, &firmup_telemetry::snapshot(), "search.target_us");
         let serial_wall = if serial_wall > 0.0 {
             serial_wall
         } else {
             wall_ms
         };
         let reference = references.entry(top_k).or_insert_with(|| fp.clone());
-        let cell_plays = if top_k == 0 {
-            plays
-        } else {
-            // A query can't play more candidates than its architecture
-            // offers, so cap per job rather than assuming a full top-k.
-            jobs.iter()
-                .map(|(.., cands)| cands.len().min(top_k))
-                .sum::<usize>()
-        };
+        let cell_plays = h.count as usize / SWEEPS;
         cells.push(ScanBenchCell {
             mode,
             threads,
@@ -1301,29 +1182,36 @@ pub fn bench_scan(preset: &str) -> ScanBench {
             } else {
                 0.0
             },
-            findings: fp.len(),
+            findings,
             results_equal: stable && fp == *reference,
-            reps_decoded: reps_counter(&after).saturating_sub(reps_counter(&before)),
+            reps_decoded: decoded() - decoded_from,
             p50_target_us: h.quantile(0.5),
             p95_target_us: h.quantile(0.95),
         });
         wall_ms
     };
+    let mut plays = 0;
     for (mode, index) in [("cold", &cold), ("warm", &warm)] {
+        let cache = QueryCache::default();
+        let mut decoded_from = decoded();
+        plays = warm_up(index, &cache, 0);
         let mut serial_wall = 0.0f64;
         for &threads in sweep {
-            let wall = measure(index, mode, threads, 0, serial_wall);
+            let wall = measure(index, &cache, mode, threads, 0, serial_wall, decoded_from);
+            decoded_from = decoded();
             if threads == 1 {
                 serial_wall = wall;
             }
         }
     }
     // Top-k sensitivity at the widest thread count, each k on a freshly
-    // opened index so `reps_decoded` reflects a cold decode cache.
-    let widest = *sweep.last().unwrap_or(&1);
+    // opened index so `reps_decoded` counts the candidate decode.
     for &k in &[8usize, 32, 128] {
+        let decoded_from = decoded();
         let fresh = CorpusIndex::open(&dir).expect("reopen index");
-        measure(&fresh, "warm", widest, k, 0.0);
+        let cache = QueryCache::default();
+        warm_up(&fresh, &cache, k);
+        measure(&fresh, &cache, "warm", widest, k, 0.0, decoded_from);
     }
     let _ = std::fs::remove_dir_all(&dir);
     ScanBench {
