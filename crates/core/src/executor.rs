@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use firmup_telemetry::{Counter, Histogram, TraceCtx};
+use firmup_telemetry::{Counter, Histogram, LocalHistogram, TraceCtx};
 
 /// Resolve a `threads` setting: `0` means one worker per available
 /// core (falling back to 4 when parallelism cannot be queried).
@@ -135,24 +135,39 @@ impl ChunkMetrics {
     }
 }
 
-/// Process one chunk of unit indices, with per-chunk telemetry. Every
+impl ChunkMetrics {
+    /// Add one worker's chunk tally (kept locally, so workers do not
+    /// contend on the shared metrics once per chunk).
+    fn add(&self, tally: &mut ChunkTally) {
+        self.units_done.add(tally.chunks);
+        tally.items.flush_to(&self.unit_items);
+        tally.chunks = 0;
+    }
+}
+
+/// One worker's `scan.units_done` / `scan.unit_items` observations.
+#[derive(Default)]
+struct ChunkTally {
+    chunks: u64,
+    items: LocalHistogram,
+}
+
+/// Process one chunk of unit indices, tallying it in `tally`. Every
 /// unit gets its own `unit` span, parented on `parent` (the caller's
 /// innermost span at [`run_units`] entry) and keyed by unit index so
 /// its identity is scheduling-independent.
 fn run_chunk<R>(
     range: Range<usize>,
     parent: Option<&TraceCtx>,
-    metrics: Option<&ChunkMetrics>,
+    tally: &mut ChunkTally,
     run: &(impl Fn(usize) -> R + Sync),
     out: &mut Vec<(usize, R)>,
 ) {
-    if let Some(m) = metrics {
-        m.units_done.incr();
-        m.unit_items.observe(range.len() as u64);
-    }
+    tally.chunks += 1;
+    tally.items.record(range.len() as u64);
     for i in range {
         let _span = match parent {
-            Some(p) => p.child("unit", i as u64).enter(),
+            Some(p) => p.enter_child("unit", i as u64),
             None => firmup_telemetry::span!("unit"),
         };
         out.push((i, run(i)));
@@ -162,6 +177,9 @@ fn run_chunk<R>(
 /// Run `n` independent work units over `threads` workers (resolved via
 /// [`resolve_threads`]) pulling chunks of `chunk` consecutive unit
 /// indices from per-worker deques, stealing from siblings when idle.
+/// Each worker's deque starts as one contiguous block of chunks, so
+/// neighbouring units (in a scan, the units of one job) tend to run on
+/// one worker; the calling thread is worker 0.
 ///
 /// `run(i)` is called exactly once for every `i in 0..n`; the returned
 /// vector holds the results in unit order regardless of thread count or
@@ -185,75 +203,95 @@ where
     let metrics = ChunkMetrics::resolve();
     if threads <= 1 || n <= 1 {
         let mut out = Vec::with_capacity(n);
+        let mut tally = ChunkTally::default();
         for start in (0..n).step_by(chunk) {
             run_chunk(
                 start..(start + chunk).min(n),
                 parent.as_ref(),
-                metrics.as_ref(),
+                &mut tally,
                 &run,
                 &mut out,
             );
         }
+        if let Some(m) = &metrics {
+            m.add(&mut tally);
+        }
         return out.into_iter().map(|(_, r)| r).collect();
     }
-    // Deal chunks round-robin across per-worker deques up front; no new
+    // Deal chunks up front as one contiguous block per worker; no new
     // work is ever enqueued, so "every deque empty" is a safe exit.
     let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+    let chunks = n.div_ceil(chunk);
     for (c, start) in (0..n).step_by(chunk).enumerate() {
-        queues[c % threads]
+        queues[c * threads / chunks]
             .lock()
             .expect("unit queue lock")
             .push_back(start..(start + chunk).min(n));
     }
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let work = |w: usize| {
+        let mut done: Vec<(usize, R)> = Vec::new();
+        let mut tally = ChunkTally::default();
+        loop {
+            // Own work first (front), then steal a victim's tail.
+            // The own-queue pop must be its own statement: a guard
+            // temporary chained into `.or_else(..)` would stay alive
+            // across the whole steal scan, and two idle workers each
+            // holding their own (empty) queue lock while trying the
+            // other's form a lock cycle.
+            let own = queues[w].lock().expect("unit queue lock").pop_front();
+            let job = own.or_else(|| {
+                (1..threads).find_map(|off| {
+                    let victim = (w + off) % threads;
+                    let stolen = queues[victim].lock().expect("unit queue lock").pop_back();
+                    if let Some(range) = &stolen {
+                        if let Some(m) = metrics.as_ref() {
+                            m.steals.incr();
+                        }
+                        firmup_telemetry::trace_instant(
+                            "steal",
+                            &[
+                                ("victim", victim.to_string()),
+                                ("thief", w.to_string()),
+                                ("units", format!("{range:?}")),
+                            ],
+                        );
+                    }
+                    stolen
+                })
+            });
+            let Some(range) = job else { break };
+            run_chunk(range, parent.as_ref(), &mut tally, &run, &mut done);
+        }
+        if let Some(m) = &metrics {
+            m.add(&mut tally);
+        }
+        let mut slots = slots.lock().expect("unit slots lock");
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    };
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let run = &run;
-            let parent = parent.as_ref();
-            let metrics = metrics.as_ref();
+        let work = &work;
+        for w in 1..threads {
             scope.spawn(move || {
                 firmup_telemetry::set_worker(Some(w as u32));
-                let mut done: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Own work first (front), then steal a victim's tail.
-                    // The own-queue pop must be its own statement: a
-                    // guard temporary chained into `.or_else(..)` would
-                    // stay alive across the whole steal scan, and two
-                    // idle workers each holding their own (empty) queue
-                    // lock while trying the other's form a lock cycle.
-                    let own = queues[w].lock().expect("unit queue lock").pop_front();
-                    let job = own.or_else(|| {
-                        (1..threads).find_map(|off| {
-                            let victim = (w + off) % threads;
-                            let stolen = queues[victim].lock().expect("unit queue lock").pop_back();
-                            if let Some(range) = &stolen {
-                                if let Some(m) = metrics {
-                                    m.steals.incr();
-                                }
-                                firmup_telemetry::trace_instant(
-                                    "steal",
-                                    &[
-                                        ("victim", victim.to_string()),
-                                        ("thief", w.to_string()),
-                                        ("units", format!("{range:?}")),
-                                    ],
-                                );
-                            }
-                            stolen
-                        })
-                    });
-                    let Some(range) = job else { break };
-                    run_chunk(range, parent, metrics, run, &mut done);
-                }
-                let mut slots = slots.lock().expect("unit slots lock");
-                for (i, r) in done {
-                    slots[i] = Some(r);
-                }
+                work(w);
             });
         }
+        // The calling thread is worker 0: it starts on its own block at
+        // once instead of idling while the others start. Its own lane
+        // tag comes back on return and on unwind alike.
+        struct Lane(Option<u32>);
+        impl Drop for Lane {
+            fn drop(&mut self) {
+                firmup_telemetry::set_worker(self.0);
+            }
+        }
+        let _lane = Lane(firmup_telemetry::current_worker());
+        firmup_telemetry::set_worker(Some(0));
+        work(0);
     });
     slots
         .into_inner()

@@ -10,10 +10,20 @@
 //! producing a **partial** matching that must contain the query but need
 //! not cover either executable — robust to firmware customization
 //! (missing/extra procedures) where full-graph matching breaks.
+//!
+//! Every game reads `Sim` through one memo: a `SimTable` of
+//! `AtomicU32` cells, one row per query procedure and one column per
+//! target *strand-set class*, filled lazily. [`play`] and
+//! [`play_recorded`] give each target procedure its own class in a
+//! per-thread table that lasts one game; a corpus scan
+//! ([`crate::search::scan_units`]) instead shares one table per query
+//! executable across all of its games, with target procedures whose
+//! strand sets are equal sharing a column, so each distinct
+//! intersection runs once per scan.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::sim::{sim, ExecutableRep};
 
@@ -93,6 +103,13 @@ pub struct GameStats {
     played: u64,
     steps: firmup_telemetry::LocalHistogram,
     ended: [u64; 4],
+    /// `Sim` intersections actually run (`game.sims_computed`).
+    sims_computed: u64,
+    /// `Sim` answers served from a memo (`game.sims_memoized`).
+    sims_memoized: u64,
+    /// Scan jobs over [`DENSE_CELL_LIMIT`] that played with the
+    /// per-game memo (`game.sim_table_fallbacks`).
+    sim_table_fallbacks: u64,
 }
 
 impl GameStats {
@@ -113,12 +130,23 @@ impl GameStats {
         for (t, o) in self.ended.iter_mut().zip(&other.ended) {
             *t += o;
         }
+        self.sims_computed += other.sims_computed;
+        self.sims_memoized += other.sims_memoized;
+        self.sim_table_fallbacks += other.sim_table_fallbacks;
     }
 
-    fn record(&mut self, ended: GameEnd, steps: usize) {
+    fn record(&mut self, ended: GameEnd, steps: usize, sims: SimCounts) {
         self.played += 1;
         self.steps.record(steps as u64);
         self.ended[ended.tally_index()] += 1;
+        self.sims_computed += sims.computed;
+        self.sims_memoized += sims.memoized;
+    }
+
+    /// Count `jobs` scan jobs whose shared table would exceed
+    /// [`DENSE_CELL_LIMIT`].
+    pub(crate) fn record_table_fallbacks(&mut self, jobs: u64) {
+        self.sim_table_fallbacks += jobs;
     }
 
     /// Merge the tallies into the global registry (a bounded handful of
@@ -134,9 +162,21 @@ impl GameStats {
                 }
             }
         }
+        for (name, n) in [
+            ("game.sims_computed", self.sims_computed),
+            ("game.sims_memoized", self.sims_memoized),
+            ("game.sim_table_fallbacks", self.sim_table_fallbacks),
+        ] {
+            if n > 0 {
+                firmup_telemetry::add(name, n);
+            }
+        }
         self.steps.flush_into("game.steps");
         self.played = 0;
         self.ended = [0; 4];
+        self.sims_computed = 0;
+        self.sims_memoized = 0;
+        self.sim_table_fallbacks = 0;
     }
 }
 
@@ -195,19 +235,18 @@ pub struct GameResult {
     /// (`None` when the game failed).
     pub query_match: Option<(usize, usize)>,
     /// The whole partial matching: `(query index, target index, sim)`.
-    /// Populated by [`play`]; empty from [`play_recorded`], whose one
-    /// caller (the corpus-scan hot path) reads only `query_match` —
-    /// assembling the full matching would allocate a buffer per game
-    /// just to drop it.
+    /// Populated by [`play`]; empty from [`play_recorded`] and the
+    /// corpus scan, which read only `query_match` — assembling the full
+    /// matching would allocate a buffer per game just to drop it.
     pub matches: Vec<(usize, usize, usize)>,
     /// Iterations performed (the paper's Fig. 9 metric).
     pub steps: usize,
     /// Why the game stopped.
     pub ended: GameEnd,
     /// Full trace for game-course rendering. Recorded by [`play`];
-    /// empty from [`play_recorded`], whose one caller (the corpus-scan
-    /// hot path) discards it — recording would grow a heap buffer per
-    /// game just to drop it.
+    /// empty from [`play_recorded`] and the corpus scan, which would
+    /// discard it — recording would grow a heap buffer per game just
+    /// to drop it.
     pub trace: Vec<TraceStep>,
 }
 
@@ -235,7 +274,16 @@ pub fn play(
     config: &GameConfig,
 ) -> GameResult {
     let mut trace = Vec::new();
-    let mut result = play_with(query, qv, target, config, None, Some(&mut trace), true);
+    let mut result = play_with(
+        query,
+        qv,
+        target,
+        config,
+        None,
+        None,
+        Some(&mut trace),
+        true,
+    );
     result.trace = trace;
     result
 }
@@ -244,9 +292,11 @@ pub fn play(
 /// per-game counters accumulate there (zero registry traffic); when
 /// `None` they are recorded directly, the legacy per-game behaviour.
 /// Neither the game trace nor the full `matches` vector is assembled
-/// (both come back empty): this is the corpus-scan entry point, its
-/// one caller reads only `query_match`/`steps`/`ended` — use [`play`]
-/// when rendering game courses or inspecting the whole matching.
+/// (both come back empty): its callers read only
+/// `query_match`/`steps`/`ended` — use [`play`] when rendering game
+/// courses or inspecting the whole matching. `Sim` is memoized for this
+/// one game; a corpus scan shares its memo across games instead (see
+/// the module docs).
 ///
 /// # Panics
 ///
@@ -258,22 +308,47 @@ pub fn play_recorded(
     config: &GameConfig,
     stats: Option<&mut GameStats>,
 ) -> GameResult {
-    play_with(query, qv, target, config, stats, None, false)
+    play_with(query, qv, target, config, None, stats, None, false)
 }
 
+/// [`play_recorded`] reading and filling a scan's shared memo instead
+/// of a per-game one.
+pub(crate) fn play_shared(
+    query: &ExecutableRep,
+    qv: usize,
+    target: &ExecutableRep,
+    config: &GameConfig,
+    memo: SimMemo<'_>,
+    stats: Option<&mut GameStats>,
+) -> GameResult {
+    debug_assert_eq!(memo.column.len(), target.procedures.len());
+    play_with(query, qv, target, config, Some(memo), stats, None, false)
+}
+
+#[allow(clippy::too_many_arguments)]
 fn play_with(
     query: &ExecutableRep,
     qv: usize,
     target: &ExecutableRep,
     config: &GameConfig,
+    shared: Option<SimMemo<'_>>,
     stats: Option<&mut GameStats>,
     trace: Option<&mut Vec<TraceStep>>,
     want_matches: bool,
 ) -> GameResult {
     assert!(qv < query.procedures.len(), "query index out of range");
     let _span = firmup_telemetry::span!("game");
-    let result = PLAY_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => play_inner(query, qv, target, config, &mut scratch, trace, want_matches),
+    let (result, sims) = PLAY_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => play_inner(
+            query,
+            qv,
+            target,
+            config,
+            shared,
+            &mut scratch,
+            trace,
+            want_matches,
+        ),
         // Re-entrant play on this thread (e.g. through a test harness
         // hook): fall back to fresh scratch rather than panicking.
         Err(_) => play_inner(
@@ -281,13 +356,14 @@ fn play_with(
             qv,
             target,
             config,
+            shared,
             &mut PlayScratch::default(),
             trace,
             want_matches,
         ),
     });
     match stats {
-        Some(st) => st.record(result.ended, result.steps),
+        Some(st) => st.record(result.ended, result.steps, sims),
         None => {
             if firmup_telemetry::enabled() {
                 // Fig. 9's metric: how many back-and-forth iterations
@@ -295,31 +371,89 @@ fn play_with(
                 firmup_telemetry::incr("game.played");
                 firmup_telemetry::observe("game.steps", result.steps as u64);
                 firmup_telemetry::incr(&format!("game.ended.{}", result.ended.label()));
+                firmup_telemetry::add("game.sims_computed", sims.computed);
+                firmup_telemetry::add("game.sims_memoized", sims.memoized);
             }
         }
     }
     result
 }
 
-/// Cell cap for the dense sim memo (32 MiB of `(u32, u32)` cells).
-/// Above it — one pathological pair of huge executables — the memo
-/// falls back to a hash map instead of pinning that much scratch per
-/// worker thread.
-const DENSE_CELL_LIMIT: usize = 1 << 22;
+/// Cell cap for one `SimTable`: 2^22 cells, 16 MiB of `AtomicU32`.
+/// A scan job whose shared table would exceed it plays each game with
+/// the per-game table instead, and a single game whose (query × target)
+/// table would exceed it plays unmemoized — every `Sim` is recomputed,
+/// trading time for bounded memory on a pathological pair of huge
+/// executables.
+pub const DENSE_CELL_LIMIT: usize = 1 << 22;
+
+/// Memo cell value for "not computed yet"; a filled cell holds
+/// `Sim + 1`.
+const UNSET: u32 = 0;
+
+/// A lazily filled `Sim` memo: one row per query procedure, one column
+/// per target strand-set class, row-major. Cells are atomics so one
+/// table can be filled by every worker of a scan at once: `Sim` is a
+/// pure function of the two strand sets, so racing `Relaxed` writers
+/// store the same value and a reader sees either "unset" (and computes
+/// that same value) or the value — never a different answer.
+#[derive(Debug)]
+pub(crate) struct SimTable {
+    cells: Vec<AtomicU32>,
+    cols: usize,
+}
+
+impl SimTable {
+    /// An all-unset `rows × cols` table, or `None` above
+    /// [`DENSE_CELL_LIMIT`].
+    pub(crate) fn new(rows: usize, cols: usize) -> Option<SimTable> {
+        let n = rows.checked_mul(cols).filter(|&n| n <= DENSE_CELL_LIMIT)?;
+        Some(SimTable {
+            cells: (0..n).map(|_| AtomicU32::new(UNSET)).collect(),
+            cols,
+        })
+    }
+
+    /// A game's view: `column[ti]` is target procedure `ti`'s class.
+    pub(crate) fn memo<'a>(&'a self, column: &'a [u32]) -> SimMemo<'a> {
+        SimMemo {
+            cells: &self.cells,
+            cols: self.cols,
+            column,
+        }
+    }
+}
+
+/// One game's view of a [`SimTable`]: the cells plus the target's
+/// procedure → column map.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SimMemo<'a> {
+    cells: &'a [AtomicU32],
+    cols: usize,
+    column: &'a [u32],
+}
+
+/// How one game's `Sim` lookups were answered.
+#[derive(Debug, Clone, Copy, Default)]
+struct SimCounts {
+    computed: u64,
+    memoized: u64,
+}
 
 /// Sentinel for "unmatched" in the dense matched arrays.
 const UNMATCHED: u32 = u32::MAX;
 
-/// Reusable per-thread game scratch: the pairwise-sim memo and both
-/// matched arrays, capacity-retaining across games so a corpus scan
-/// allocates nothing per target once warm. The memo is epoch-tagged —
-/// starting a game bumps the epoch instead of clearing the table.
+/// Reusable per-thread game scratch: the per-game `Sim` table (one
+/// class per target procedure) with its identity column map, and both
+/// matched arrays and the work stack — all capacity-retaining across
+/// games, so a corpus scan allocates nothing per target once warm.
 #[derive(Debug, Default)]
 struct PlayScratch {
-    /// Dense `(epoch, sim)` memo, row-major `query × target`.
-    sims: Vec<(u32, u32)>,
-    /// Current memo epoch; cells with a different tag are vacant.
-    epoch: u32,
+    /// Per-game memo cells, row-major `query × target`; reset to unset
+    /// at the start of every game that uses them.
+    cells: Vec<AtomicU32>,
+    /// `identity[ti] == ti`: the per-game memo's column map.
+    identity: Vec<u32>,
     /// `q → t` (`UNMATCHED` when free).
     matched_q: Vec<u32>,
     /// `t → q` (`UNMATCHED` when free).
@@ -332,52 +466,74 @@ thread_local! {
     static PLAY_SCRATCH: RefCell<PlayScratch> = RefCell::new(PlayScratch::default());
 }
 
+/// The per-game memo over `cells`/`identity`: one class per target
+/// procedure, reset to unset. `None` (play unmemoized) above
+/// [`DENSE_CELL_LIMIT`].
+fn per_game_memo<'a>(
+    cells: &'a mut Vec<AtomicU32>,
+    identity: &'a mut Vec<u32>,
+    nq: usize,
+    nt: usize,
+) -> Option<SimMemo<'a>> {
+    let n = nq.checked_mul(nt).filter(|&n| n <= DENSE_CELL_LIMIT)?;
+    if cells.len() < n {
+        cells.resize_with(n, || AtomicU32::new(UNSET));
+    }
+    for c in &mut cells[..n] {
+        *c.get_mut() = UNSET;
+    }
+    while identity.len() < nt {
+        identity.push(identity.len() as u32);
+    }
+    Some(SimMemo {
+        cells: &cells[..n],
+        cols: nt,
+        column: &identity[..nt],
+    })
+}
+
+#[allow(clippy::too_many_arguments)]
 fn play_inner(
     query: &ExecutableRep,
     qv: usize,
     target: &ExecutableRep,
     config: &GameConfig,
+    shared: Option<SimMemo<'_>>,
     scratch: &mut PlayScratch,
     mut trace: Option<&mut Vec<TraceStep>>,
     want_matches: bool,
-) -> GameResult {
+) -> (GameResult, SimCounts) {
     let nq = query.procedures.len();
     let nt = target.procedures.len();
-    let cells = nq.saturating_mul(nt);
-    let dense = cells <= DENSE_CELL_LIMIT;
-    scratch.epoch = scratch.epoch.wrapping_add(1);
-    if scratch.epoch == 0 {
-        // Epoch wrap: old tags become ambiguous, so clear once per 2^32
-        // games and restart.
-        scratch.sims.fill((0, 0));
-        scratch.epoch = 1;
-    }
     let PlayScratch {
-        sims,
-        epoch,
+        cells,
+        identity,
         matched_q,
         matched_t,
         to_match,
     } = scratch;
-    let ep = *epoch;
-    if dense && sims.len() < cells {
-        sims.resize(cells, (0, 0));
-    }
-    let mut map_memo: HashMap<(usize, usize), usize> = HashMap::new();
+    let memo = shared.or_else(|| per_game_memo(cells, identity, nq, nt));
+    let mut counts = SimCounts::default();
     let mut sim_of = |qi: usize, ti: usize| -> usize {
-        if dense {
-            let cell = &mut sims[qi * nt + ti];
-            if cell.0 == ep {
-                cell.1 as usize
-            } else {
+        let Some(m) = memo else {
+            counts.computed += 1;
+            return sim(&query.procedures[qi], &target.procedures[ti]);
+        };
+        let cell = &m.cells[qi * m.cols + m.column[ti] as usize];
+        match cell.load(Ordering::Relaxed) {
+            UNSET => {
+                counts.computed += 1;
                 let v = sim(&query.procedures[qi], &target.procedures[ti]);
-                *cell = (ep, v as u32);
+                // A `Sim` too large for a cell is simply not memoized.
+                if let Some(stored) = u32::try_from(v).ok().and_then(|v| v.checked_add(1)) {
+                    cell.store(stored, Ordering::Relaxed);
+                }
                 v
             }
-        } else {
-            *map_memo
-                .entry((qi, ti))
-                .or_insert_with(|| sim(&query.procedures[qi], &target.procedures[ti]))
+            stored => {
+                counts.memoized += 1;
+                (stored - 1) as usize
+            }
         }
     };
 
@@ -534,13 +690,14 @@ fn play_inner(
     }
     let query_match = (matched_q[qv] != UNMATCHED)
         .then(|| (matched_q[qv] as usize, sim_of(qv, matched_q[qv] as usize)));
-    GameResult {
+    let result = GameResult {
         query_match,
         matches,
         steps,
         ended,
         trace: Vec::new(),
-    }
+    };
+    (result, counts)
 }
 
 /// Argmax with deterministic tie-breaking (higher sim, then lower

@@ -6,7 +6,14 @@
 //! paper validated findings semi-manually (§5.2); as the automated
 //! stand-in we accept a game match whose similarity clears a
 //! configurable fraction of the query's strand count.
+//!
+//! A whole-corpus scan ([`scan_units`]) shares `Sim` across games: one
+//! lazily filled similarity table per distinct query executable, whose
+//! columns are the candidates' *strand-set classes* — procedures with
+//! equal strand sets share a column, so firmware's reused code costs
+//! one intersection per scan instead of one per game.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +22,9 @@ use std::time::{Duration, Instant};
 use std::borrow::Borrow;
 
 use crate::executor::{chunk_size, resolve_threads, run_units};
-use crate::game::{play, play_recorded, GameConfig, GameEnd, GameResult, GameStats};
+use crate::game::{
+    play, play_recorded, play_shared, GameConfig, GameEnd, GameResult, GameStats, SimMemo, SimTable,
+};
 use crate::sim::{ExecutableRep, GlobalContext, ProcedureRep, StrandPostings};
 
 /// Search configuration.
@@ -137,31 +146,35 @@ pub fn search_target(
     target: &ExecutableRep,
     config: &SearchConfig,
 ) -> TargetResult {
-    search_target_with(query, qv, target, config, None, None)
+    search_target_with(query, qv, target, config, &config.game, None, None, None)
 }
 
-/// [`search_target`] with the scan-loop fast paths: `qp_mass` carries
-/// the query procedure's context mass precomputed once per job (it is a
-/// pure function of the query and the context, so recomputing it per
-/// target is pure overhead), and `stats` redirects per-target telemetry
-/// into a scan-local accumulator. With `stats == None` the legacy
-/// direct-to-registry recording is preserved bit for bit.
+/// [`search_target`] with the scan-loop fast paths: `game` is
+/// `config.game` with the scan's per-game deadline, `memo` is the
+/// scan's shared `Sim` table for this target (`None` plays with a
+/// per-game memo), `qp_mass` carries the query procedure's context
+/// mass precomputed once per job (it is a pure function of the query
+/// and the context, so recomputing it per target is pure overhead),
+/// and `stats` redirects per-target telemetry into a scan-local
+/// accumulator. With `stats == None` the legacy direct-to-registry
+/// recording is preserved bit for bit.
+#[allow(clippy::too_many_arguments)]
 fn search_target_with(
     query: &ExecutableRep,
     qv: usize,
     target: &ExecutableRep,
     config: &SearchConfig,
+    game: &GameConfig,
+    memo: Option<SimMemo<'_>>,
     qp_mass: Option<f64>,
     mut stats: Option<&mut ScanStats>,
 ) -> TargetResult {
     let started = firmup_telemetry::enabled().then(std::time::Instant::now);
-    let result: GameResult = play_recorded(
-        query,
-        qv,
-        target,
-        &config.game,
-        stats.as_deref_mut().map(|s| &mut s.game),
-    );
+    let game_stats = stats.as_deref_mut().map(|s| &mut s.game);
+    let result: GameResult = match memo {
+        Some(m) => play_shared(query, qv, target, game, m, game_stats),
+        None => play_recorded(query, qv, target, game, game_stats),
+    };
     let matched = result.query_match.and_then(|(ti, s)| {
         let qp = &query.procedures[qv];
         let tp = &target.procedures[ti];
@@ -198,7 +211,7 @@ fn search_target_with(
             }
         }
     }
-    let deadline_margin_us = config.game.deadline.map(|d| {
+    let deadline_margin_us = game.deadline.map(|d| {
         let now = Instant::now();
         if d >= now {
             i64::try_from((d - now).as_micros()).unwrap_or(i64::MAX)
@@ -672,27 +685,33 @@ impl ScanReport {
     }
 }
 
+/// The inputs every game of one [`scan_units`] call shares.
+struct ScanCtx<'a> {
+    config: &'a SearchConfig,
+    budget: &'a ScanBudget,
+    scan_start: Instant,
+    steps_spent: AtomicU64,
+}
+
 /// Play one target under budget bounds, containing panics. The per-game
 /// deadline is computed *here*, immediately before the game starts —
 /// never once per worker or per unit — so a slow sibling game on the
 /// same worker can never eat a later game's `per_game` allowance.
-#[allow(clippy::too_many_arguments)]
 fn run_one_target(
+    ctx: &ScanCtx<'_>,
     query: &ExecutableRep,
     qv: usize,
     target: &ExecutableRep,
-    config: &SearchConfig,
-    budget: &ScanBudget,
-    scan_start: Instant,
-    steps_spent: &AtomicU64,
+    memo: Option<SimMemo<'_>>,
     qp_mass: Option<f64>,
     stats: Option<&mut ScanStats>,
 ) -> TargetOutcome {
+    let budget = ctx.budget;
     // Deterministic bound first: refuse to start once the scan-wide
     // step budget is spent.
     if budget
         .max_steps_total
-        .is_some_and(|max| steps_spent.load(Ordering::Relaxed) >= max)
+        .is_some_and(|max| ctx.steps_spent.load(Ordering::Relaxed) >= max)
     {
         firmup_telemetry::incr("scan.budget_exceeded");
         return TargetOutcome::BudgetExceeded {
@@ -704,7 +723,7 @@ fn run_one_target(
     let target_start = Instant::now();
     // A scan/target deadline already in the past: report without
     // playing at all.
-    let deadline = budget.game_deadline(scan_start, target_start);
+    let deadline = budget.game_deadline(ctx.scan_start, target_start);
     if let Some((d, reason)) = deadline {
         if d <= target_start {
             firmup_telemetry::incr("scan.budget_exceeded");
@@ -715,14 +734,16 @@ fn run_one_target(
             };
         }
     }
-    let mut cfg = config.clone();
-    cfg.game.deadline = deadline.map(|(d, _)| d);
+    let game = GameConfig {
+        deadline: deadline.map(|(d, _)| d),
+        ..ctx.config.game
+    };
     let played = catch_unwind(AssertUnwindSafe(|| {
-        search_target_with(query, qv, target, &cfg, qp_mass, stats)
+        search_target_with(query, qv, target, ctx.config, &game, memo, qp_mass, stats)
     }));
     match played {
         Ok(r) => {
-            steps_spent.fetch_add(r.steps as u64, Ordering::Relaxed);
+            ctx.steps_spent.fetch_add(r.steps as u64, Ordering::Relaxed);
             if r.ended == GameEnd::DeadlineExceeded {
                 firmup_telemetry::incr("scan.budget_exceeded");
                 let reason = deadline.map_or(BudgetReason::GameDeadline, |(_, r)| r);
@@ -743,6 +764,201 @@ fn run_one_target(
             }
         }
     }
+}
+
+/// Table columns for one candidate set: the strand-set class of every
+/// candidate procedure, numbered densely within the set.
+#[derive(Debug)]
+struct ColumnMap {
+    /// Sorted corpus indices of the candidates.
+    targets: Vec<usize>,
+    /// Target `targets[i]`'s procedure columns are
+    /// `columns[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    columns: Vec<u32>,
+    /// Number of distinct columns.
+    width: usize,
+}
+
+/// The `Sim` tables of one [`scan_units`] call: one per distinct query
+/// executable (compared by `ptr::eq`, so the CVE jobs of one package
+/// share a table), over the union of its jobs' candidates.
+#[derive(Debug)]
+struct ScanSims {
+    /// Each job's query group.
+    job_group: Vec<usize>,
+    /// Each group's table and the index of its column map in `maps`;
+    /// `None` where `rows × columns` would exceed
+    /// [`DENSE_CELL_LIMIT`](crate::game::DENSE_CELL_LIMIT).
+    tables: Vec<Option<(SimTable, usize)>>,
+    /// Column maps, shared by groups with equal candidate sets (every
+    /// package's jobs on one architecture, in an exhaustive scan).
+    maps: Vec<ColumnMap>,
+}
+
+impl ScanSims {
+    /// Build the tables under a `sim_table` span. Every candidate
+    /// procedure gets a strand-set class — equal sorted `strands` share
+    /// one — numbered once over all candidates, then renumbered densely
+    /// per candidate set as its table columns.
+    fn build<T: Borrow<ExecutableRep>>(
+        jobs: &[(&ExecutableRep, usize)],
+        units: &[ScanUnit],
+        corpus: &[T],
+    ) -> ScanSims {
+        let _span = firmup_telemetry::span!("sim_table");
+        let mut queries: Vec<&ExecutableRep> = Vec::new();
+        let job_group: Vec<usize> = jobs
+            .iter()
+            .map(|&(q, _)| {
+                queries
+                    .iter()
+                    .position(|&r| std::ptr::eq(r, q))
+                    .unwrap_or_else(|| {
+                        queries.push(q);
+                        queries.len() - 1
+                    })
+            })
+            .collect();
+        let mut group_targets: Vec<Vec<usize>> = vec![Vec::new(); queries.len()];
+        for u in units {
+            group_targets[job_group[u.job]].extend_from_slice(&u.targets);
+        }
+        for ts in &mut group_targets {
+            ts.sort_unstable();
+            ts.dedup();
+        }
+        let (first, class, classes) = strand_set_classes(&group_targets, corpus);
+
+        let mut maps: Vec<ColumnMap> = Vec::new();
+        let mut column_of: Vec<u32> = vec![u32::MAX; classes];
+        let tables = group_targets
+            .into_iter()
+            .zip(&queries)
+            .map(|(targets, q)| {
+                let map = match maps.iter().position(|m| m.targets == targets) {
+                    Some(i) => i,
+                    None => {
+                        maps.push(ColumnMap::new(
+                            targets,
+                            |t| {
+                                let nt = corpus[t].borrow().procedures.len();
+                                &class[first[t]..first[t] + nt]
+                            },
+                            &mut column_of,
+                        ));
+                        maps.len() - 1
+                    }
+                };
+                SimTable::new(q.procedures.len(), maps[map].width).map(|table| (table, map))
+            })
+            .collect();
+        ScanSims {
+            job_group,
+            tables,
+            maps,
+        }
+    }
+
+    /// Jobs whose group plays with per-game memos.
+    fn fallback_jobs(&self) -> usize {
+        self.job_group
+            .iter()
+            .filter(|&&g| self.tables[g].is_none())
+            .count()
+    }
+
+    /// The shared memo for `job`'s game on corpus target `t` (one of its
+    /// candidates), or `None` when the job's group fell back.
+    fn memo(&self, job: usize, t: usize) -> Option<SimMemo<'_>> {
+        let (table, map) = self.tables[self.job_group[job]].as_ref()?;
+        let m = &self.maps[*map];
+        let i = m
+            .targets
+            .binary_search(&t)
+            .expect("every unit target is a candidate of its job");
+        Some(table.memo(&m.columns[m.starts[i]..m.starts[i + 1]]))
+    }
+}
+
+impl ColumnMap {
+    /// Number `targets`' classes (`classes_of(t)` per target) densely.
+    /// `column_of` is scratch indexed by class, all `u32::MAX` on entry
+    /// and on return.
+    fn new<'c>(
+        targets: Vec<usize>,
+        classes_of: impl Fn(usize) -> &'c [u32],
+        column_of: &mut [u32],
+    ) -> ColumnMap {
+        let mut starts = Vec::with_capacity(targets.len() + 1);
+        let mut columns: Vec<u32> = Vec::new();
+        let mut width = 0u32;
+        starts.push(0);
+        for &t in &targets {
+            for &c in classes_of(t) {
+                let col = &mut column_of[c as usize];
+                if *col == u32::MAX {
+                    *col = width;
+                    width += 1;
+                }
+                columns.push(*col);
+            }
+            starts.push(columns.len());
+        }
+        for &t in &targets {
+            for &c in classes_of(t) {
+                column_of[c as usize] = u32::MAX;
+            }
+        }
+        ColumnMap {
+            targets,
+            starts,
+            columns,
+            width: width as usize,
+        }
+    }
+}
+
+/// Strand-set classes of every procedure of every target in `groups`:
+/// returns, per corpus index, the offset of its first procedure in the
+/// class list (`usize::MAX` if not a target), the class list, and the
+/// class count. Sets are found through a cheap order-free fingerprint;
+/// equal fingerprints are confirmed by comparing the sets, and a
+/// genuine (or crafted) collision goes through an exact slice-keyed map.
+fn strand_set_classes<T: Borrow<ExecutableRep>>(
+    groups: &[Vec<usize>],
+    corpus: &[T],
+) -> (Vec<usize>, Vec<u32>, usize) {
+    let mut first: Vec<usize> = vec![usize::MAX; corpus.len()];
+    let mut class: Vec<u32> = Vec::new();
+    let mut by_print: HashMap<u64, u32> = HashMap::new();
+    let mut collided: HashMap<&[u64], u32> = HashMap::new();
+    let mut sets: Vec<&[u64]> = Vec::new();
+    for &t in groups.iter().flatten() {
+        if first[t] != usize::MAX {
+            continue;
+        }
+        first[t] = class.len();
+        for p in &corpus[t].borrow().procedures {
+            let set = p.strands.as_slice();
+            let print = set.iter().fold(set.len() as u64, |h, &s| h.wrapping_add(s));
+            let fresh = sets.len() as u32;
+            let c = *by_print.entry(print).or_insert(fresh);
+            let c = if c == fresh {
+                sets.push(set);
+                c
+            } else if sets[c as usize] == set {
+                c
+            } else {
+                *collided.entry(set).or_insert_with(|| {
+                    sets.push(set);
+                    fresh
+                })
+            };
+            class.push(c);
+        }
+    }
+    (first, class, sets.len())
 }
 
 /// One fine-grained scan work unit: a query job plus the shard of
@@ -769,6 +985,14 @@ pub struct ScanUnit {
 /// remaining units yield empty outcome vectors (the cooperative-cancel
 /// path behind `^C`). A cancelled scan naturally loses the determinism
 /// guarantee, exactly like a wall-clock budget.
+///
+/// Games read `Sim` through one table per distinct query executable
+/// (see the module docs), built under a `sim_table` span before the
+/// units run and dropped when the call returns. A group whose table
+/// would exceed [`DENSE_CELL_LIMIT`](crate::game::DENSE_CELL_LIMIT)
+/// plays with per-game memos instead, counted per job in
+/// `game.sim_table_fallbacks`. Which worker fills a cell first never
+/// matters: the value is a pure function of the two strand sets.
 pub fn scan_units<T: Borrow<ExecutableRep> + Sync>(
     jobs: &[(&ExecutableRep, usize)],
     units: &[ScanUnit],
@@ -778,8 +1002,13 @@ pub fn scan_units<T: Borrow<ExecutableRep> + Sync>(
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Vec<Vec<TargetOutcome>> {
     let _span = firmup_telemetry::span!("search");
-    let scan_start = Instant::now();
-    let steps_spent = AtomicU64::new(0);
+    let ctx = ScanCtx {
+        config,
+        budget,
+        scan_start: Instant::now(),
+        steps_spent: AtomicU64::new(0),
+    };
+    let sims = ScanSims::build(jobs, units, corpus);
     // The query's significance mass is a pure function of (job, context):
     // compute it once per job here instead of once per target inside the
     // acceptance check.
@@ -788,7 +1017,11 @@ pub fn scan_units<T: Borrow<ExecutableRep> + Sync>(
             .map(|&(q, qv)| ctx.mass(&q.procedures[qv]))
             .collect()
     });
-    let stats = std::sync::Mutex::new(ScanStats::new());
+    let mut scan_stats = ScanStats::new();
+    scan_stats
+        .game
+        .record_table_fallbacks(sims.fallback_jobs() as u64);
+    let stats = std::sync::Mutex::new(scan_stats);
     let out = run_units(units.len(), resolve_threads(config.threads), 1, |u| {
         if stop() {
             return Vec::new();
@@ -802,13 +1035,11 @@ pub fn scan_units<T: Borrow<ExecutableRep> + Sync>(
             .iter()
             .map(|&t| {
                 run_one_target(
+                    &ctx,
                     query,
                     qv,
                     corpus[t].borrow(),
-                    config,
-                    budget,
-                    scan_start,
-                    &steps_spent,
+                    sims.memo(unit.job, t),
                     qp_mass,
                     Some(&mut local),
                 )

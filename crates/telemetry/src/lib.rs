@@ -51,7 +51,7 @@ pub use trace_ctx::{
 };
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -394,7 +394,15 @@ impl LocalHistogram {
     /// No-op on the registry when empty or when telemetry is disabled.
     pub fn flush_into(&mut self, name: &str) {
         if self.count > 0 && enabled() {
-            let h = histogram(name);
+            self.flush_to(&histogram(name));
+        }
+        *self = LocalHistogram::default();
+    }
+
+    /// [`flush_into`](LocalHistogram::flush_into) through an already
+    /// resolved handle: no registry lookup.
+    pub fn flush_to(&mut self, h: &Histogram) {
+        if self.count > 0 && enabled() {
             h.0.count.fetch_add(self.count, Ordering::Relaxed);
             h.0.sum.fetch_add(self.sum, Ordering::Relaxed);
             h.0.min.fetch_min(self.min, Ordering::Relaxed);
@@ -428,7 +436,22 @@ pub fn preregister(counters: &[&str], gauges: &[&str], histograms: &[&str]) {
 // Spans
 // ---------------------------------------------------------------------------
 
+/// Latency totals of one span path, striped so concurrent workers
+/// update different cache lines: a scan finishes a `game` and a `unit`
+/// span per target on every worker, and four atomic updates on one
+/// shared line per span made each of them bounce between cores.
+/// Readers sum the stripes.
 struct SpanStats {
+    stripes: [SpanStripe; SPAN_STRIPES],
+}
+
+/// Stripes per span path; a thread always updates stripe
+/// `thread index % SPAN_STRIPES`.
+const SPAN_STRIPES: usize = 16;
+
+/// One stripe of [`SpanStats`], alone on its cache line.
+#[repr(align(64))]
+struct SpanStripe {
     count: AtomicU64,
     total_ns: AtomicU64,
     min_ns: AtomicU64,
@@ -438,54 +461,116 @@ struct SpanStats {
 impl SpanStats {
     fn new() -> SpanStats {
         SpanStats {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| SpanStripe {
+                count: AtomicU64::new(0),
+                total_ns: AtomicU64::new(0),
+                min_ns: AtomicU64::new(u64::MAX),
+                max_ns: AtomicU64::new(0),
+            }),
         }
+    }
+
+    fn record(&self, elapsed_ns: u64) {
+        let s = &self.stripes[SPAN_STRIPE.with(|i| *i)];
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+        s.min_ns.fetch_min(elapsed_ns, Ordering::Relaxed);
+        s.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> SpanSnapshot {
+        let mut out = SpanSnapshot {
+            count: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        };
+        for s in &self.stripes {
+            out.count += s.count.load(Ordering::Relaxed);
+            out.total_ns += s.total_ns.load(Ordering::Relaxed);
+            out.min_ns = out.min_ns.min(s.min_ns.load(Ordering::Relaxed));
+            out.max_ns = out.max_ns.max(s.max_ns.load(Ordering::Relaxed));
+        }
+        if out.count == 0 {
+            out.min_ns = 0;
+        }
+        out
     }
 }
 
 thread_local! {
+    /// This thread's [`SpanStats`] stripe, assigned round-robin at
+    /// first use.
+    static SPAN_STRIPE: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed) % SPAN_STRIPES
+    };
+
     /// Per-thread memo of span paths already resolved against the global
     /// registry, tagged with the [`RESET_GEN`] it was built under. A
     /// scan finishes one span per game — millions per run — and every
     /// finish used to take the global spans lock plus a `String`
     /// allocation for the entry probe. With the memo, a repeated path
-    /// costs one local hash lookup and four atomic updates; the lock and
-    /// allocations are paid once per (thread, path). [`reset`] bumps the
-    /// generation, which drops the whole memo so stale handles into the
-    /// cleared registry are never fed again.
-    static SPAN_STATS_MEMO: std::cell::RefCell<(u64, HashMap<String, Arc<SpanStats>>)> =
-        std::cell::RefCell::new((0, HashMap::new()));
+    /// costs a pointer comparison (span paths are shared `Arc`s, and a
+    /// hot loop reuses the same one) or one local hash lookup, then
+    /// four uncontended atomic updates; the lock and allocations are
+    /// paid once per (thread, path). [`reset`] bumps the generation,
+    /// which drops the whole memo so stale handles into the cleared
+    /// registry are never fed again.
+    static SPAN_STATS_MEMO: std::cell::RefCell<SpanStatsMemo> =
+        std::cell::RefCell::new(SpanStatsMemo::default());
+}
+
+/// See `SPAN_STATS_MEMO`.
+#[derive(Default)]
+struct SpanStatsMemo {
+    gen: u64,
+    by_path: HashMap<String, Arc<SpanStats>>,
+    /// The last few paths recorded, by `Arc` identity. Holding the
+    /// `Arc<str>` keeps its address from being reused by another path.
+    recent: [Option<(Arc<str>, Arc<SpanStats>)>; 2],
+    next: usize,
 }
 
 /// Feed one finished span into the per-path latency registry.
-pub(crate) fn record_span_stats(path: &str, elapsed_ns: u64) {
-    let stats = SPAN_STATS_MEMO.with(|memo| {
+pub(crate) fn record_span_stats(path: &Arc<str>, elapsed_ns: u64) {
+    SPAN_STATS_MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
         let gen = RESET_GEN.load(Ordering::Relaxed);
-        if memo.0 != gen {
-            memo.0 = gen;
-            memo.1.clear();
+        if memo.gen != gen {
+            *memo = SpanStatsMemo {
+                gen,
+                ..SpanStatsMemo::default()
+            };
         }
-        if let Some(s) = memo.1.get(path) {
-            return Arc::clone(s);
+        if let Some((_, stats)) = memo
+            .recent
+            .iter()
+            .flatten()
+            .find(|(p, _)| Arc::ptr_eq(p, path))
+        {
+            stats.record(elapsed_ns);
+            return;
         }
-        let stats = {
-            let mut map = registry().spans.lock().unwrap();
-            Arc::clone(
-                map.entry(path.to_string())
-                    .or_insert_with(|| Arc::new(SpanStats::new())),
-            )
+        let stats = match memo.by_path.get(&**path) {
+            Some(stats) => Arc::clone(stats),
+            None => {
+                let stats = {
+                    let mut map = registry().spans.lock().unwrap();
+                    Arc::clone(
+                        map.entry(path.to_string())
+                            .or_insert_with(|| Arc::new(SpanStats::new())),
+                    )
+                };
+                memo.by_path.insert(path.to_string(), Arc::clone(&stats));
+                stats
+            }
         };
-        memo.1.insert(path.to_string(), Arc::clone(&stats));
-        stats
+        stats.record(elapsed_ns);
+        let slot = memo.next;
+        memo.recent[slot] = Some((Arc::clone(path), stats));
+        memo.next = (slot + 1) % memo.recent.len();
     });
-    stats.count.fetch_add(1, Ordering::Relaxed);
-    stats.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-    stats.min_ns.fetch_min(elapsed_ns, Ordering::Relaxed);
-    stats.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
 }
 
 /// RAII timer for one pipeline stage. Created by [`span()`] / [`span!`]
@@ -683,22 +768,7 @@ pub fn snapshot() -> Snapshot {
         .lock()
         .unwrap()
         .iter()
-        .map(|(k, s)| {
-            let count = s.count.load(Ordering::Relaxed);
-            (
-                k.clone(),
-                SpanSnapshot {
-                    count,
-                    total_ns: s.total_ns.load(Ordering::Relaxed),
-                    min_ns: if count == 0 {
-                        0
-                    } else {
-                        s.min_ns.load(Ordering::Relaxed)
-                    },
-                    max_ns: s.max_ns.load(Ordering::Relaxed),
-                },
-            )
-        })
+        .map(|(k, s)| (k.clone(), s.snapshot()))
         .collect();
     spans.sort_by(|a, b| a.0.cmp(&b.0));
     Snapshot {

@@ -103,11 +103,24 @@ pub(crate) struct Frame {
     /// thousands of times under one parent (the per-game span inside a
     /// scan unit) re-joins the path once and then pays only an `Arc`
     /// refcount bump per span instead of a fresh `String` each time.
-    last_child: Option<(&'static str, Arc<str>)>,
+    last_child: Option<ChildPath>,
 }
+
+/// An ambient child span's name and its joined path.
+type ChildPath = (&'static str, Arc<str>);
 
 thread_local! {
     static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// Finished spans not yet moved to the shared collector: a thread
+    /// hands them over in batches (see [`finish`]) instead of taking
+    /// the collector lock once per span.
+    static PENDING: RefCell<Vec<SpanRecord>> = const { RefCell::new(Vec::new()) };
+    /// The path and ambient-child memo of the last explicit context
+    /// entered on this thread. A worker enters one `unit` context per
+    /// scan unit, all with the same path, so each reuses the previous
+    /// one's interned path and its `…/unit/game` child path.
+    static LAST_CTX: RefCell<Option<(Arc<str>, Option<ChildPath>)>> =
+        const { RefCell::new(None) };
     static WORKER: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
@@ -199,24 +212,55 @@ pub(crate) fn push_ambient(name: &'static str) -> ActiveSpan {
 }
 
 /// Push a frame for an explicit context (a cross-thread handoff).
-pub(crate) fn push_ctx(ctx: &TraceCtx) -> ActiveSpan {
-    let path: Arc<str> = Arc::from(ctx.path.as_str());
+/// `path` is the context's path as `(parent path, child name)`, the
+/// child part absent for a context entered whole.
+pub(crate) fn push_ctx(
+    ids: (u64, u64, u64),
+    name: Cow<'static, str>,
+    path: (&str, Option<&str>),
+    attrs: Vec<(String, String)>,
+) -> ActiveSpan {
+    let (trace_id, span_id, parent_id) = ids;
+    let (parent, child) = path;
+    let is_path = |p: &str| match child {
+        None => p == parent,
+        Some(c) => {
+            p.len() == parent.len() + 1 + c.len()
+                && p.starts_with(parent)
+                && p[parent.len()..].starts_with('/')
+                && p.ends_with(c)
+        }
+    };
+    let (path, last_child) = LAST_CTX.with(|last| {
+        let mut last = last.borrow_mut();
+        match &*last {
+            Some((path, memo)) if is_path(path) => (Arc::clone(path), memo.clone()),
+            _ => {
+                let path: Arc<str> = match child {
+                    None => Arc::from(parent),
+                    Some(c) => Arc::from(format!("{parent}/{c}")),
+                };
+                *last = Some((Arc::clone(&path), None));
+                (path, None)
+            }
+        }
+    });
     FRAMES.with(|f| {
         f.borrow_mut().push(Frame {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
+            trace_id,
+            span_id,
             path: Arc::clone(&path),
             next_child: 0,
-            last_child: None,
+            last_child,
         });
     });
     ActiveSpan {
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_id: ctx.parent_id,
-        name: Cow::Owned(ctx.name.clone()),
+        trace_id,
+        span_id,
+        parent_id,
+        name,
         path,
-        attrs: ctx.attrs.clone(),
+        attrs,
         // Only the trace collector consumes start timestamps; with
         // collection off, skip the extra clock read (one per span, and
         // the scan opens a span per game).
@@ -229,18 +273,41 @@ pub(crate) fn push_ctx(ctx: &TraceCtx) -> ActiveSpan {
     }
 }
 
+/// Batch size at which a thread's pending span records move to the
+/// shared collector even while spans are still open on it.
+const PENDING_FLUSH: usize = 256;
+
 /// Close the active span: pop its frame, feed the latency registry, and
-/// (when span tracing is on) push a [`SpanRecord`] to the collector.
+/// (when span tracing is on) record a [`SpanRecord`]. Records collect
+/// in a per-thread batch that moves to the shared collector when the
+/// thread's outermost span closes or the batch fills, so concurrent
+/// workers do not contend on the collector lock once per span.
 pub(crate) fn finish(active: ActiveSpan) {
     let dur_ns = active.started.elapsed().as_nanos() as u64;
-    FRAMES.with(|f| {
-        f.borrow_mut().pop();
+    let outermost = FRAMES.with(|f| {
+        let mut frames = f.borrow_mut();
+        if let Some(frame) = frames.pop() {
+            if frame.last_child.is_some() {
+                // Keep this frame's child-path memo for the next
+                // context entered with the same path.
+                LAST_CTX.with(|last| {
+                    let mut last = last.borrow_mut();
+                    if last
+                        .as_ref()
+                        .is_some_and(|(p, _)| Arc::ptr_eq(p, &frame.path))
+                    {
+                        *last = Some((frame.path, frame.last_child));
+                    }
+                });
+            }
+        }
+        frames.is_empty()
     });
     if crate::enabled() {
         crate::record_span_stats(&active.path, dur_ns);
     }
     if span_trace_enabled() {
-        record_span(SpanRecord {
+        let rec = SpanRecord {
             trace_id: active.trace_id,
             span_id: active.span_id,
             parent_id: active.parent_id,
@@ -250,8 +317,33 @@ pub(crate) fn finish(active: ActiveSpan) {
             dur_ns,
             worker: current_worker(),
             attrs: active.attrs,
+        };
+        let full = PENDING.with(|p| {
+            let mut p = p.borrow_mut();
+            p.push(rec);
+            p.len() >= PENDING_FLUSH
         });
+        if full {
+            flush_pending();
+        }
     }
+    // Also when tracing was switched off meanwhile: nothing recorded
+    // may stay behind on a thread that is about to go idle or exit.
+    if outermost {
+        flush_pending();
+    }
+}
+
+/// Move this thread's pending span records to the shared collector.
+fn flush_pending() {
+    let batch = PENDING.with(|p| std::mem::take(&mut *p.borrow_mut()));
+    if batch.is_empty() {
+        return;
+    }
+    let mut buf = collector().lock().unwrap();
+    let room = MAX_TRACE_SPANS.saturating_sub(buf.spans.len());
+    buf.dropped += batch.len().saturating_sub(room) as u64;
+    buf.spans.extend(batch.into_iter().take(room));
 }
 
 impl ActiveSpan {
@@ -350,7 +442,33 @@ impl TraceCtx {
             return crate::SpanGuard { active: None };
         }
         crate::SpanGuard {
-            active: Some(push_ctx(&self)),
+            active: Some(push_ctx(
+                (self.trace_id, self.span_id, self.parent_id),
+                Cow::Owned(self.name),
+                (&self.path, None),
+                self.attrs,
+            )),
+        }
+    }
+
+    /// `self.child(name, key).enter()` without building the child
+    /// context: the executor enters one keyed `unit` span per work
+    /// unit, and this skips that context's two string allocations.
+    pub fn enter_child(&self, name: &'static str, key: u64) -> crate::SpanGuard {
+        if !crate::enabled() && !span_trace_enabled() {
+            return crate::SpanGuard { active: None };
+        }
+        crate::SpanGuard {
+            active: Some(push_ctx(
+                (
+                    self.trace_id,
+                    derive_id(self.span_id, name, key),
+                    self.span_id,
+                ),
+                Cow::Borrowed(name),
+                (&self.path, Some(name)),
+                Vec::new(),
+            )),
         }
     }
 }
@@ -432,15 +550,6 @@ fn collector() -> &'static Mutex<Trace> {
     COLLECTOR.get_or_init(|| Mutex::new(Trace::default()))
 }
 
-fn record_span(rec: SpanRecord) {
-    let mut buf = collector().lock().unwrap();
-    if buf.spans.len() >= MAX_TRACE_SPANS {
-        buf.dropped += 1;
-    } else {
-        buf.spans.push(rec);
-    }
-}
-
 /// Emit one instant event (a zero-duration marker, e.g. a steal) when
 /// span tracing is on.
 pub fn trace_instant(name: &str, attrs: &[(&str, String)]) {
@@ -465,8 +574,10 @@ pub fn trace_instant(name: &str, attrs: &[(&str, String)]) {
 }
 
 /// Drain the trace collector, returning everything recorded since the
-/// last drain.
+/// last drain. Spans still pending on *other* threads are moved over
+/// when those threads close their outermost span.
 pub fn take_trace() -> Trace {
+    flush_pending();
     std::mem::take(&mut *collector().lock().unwrap())
 }
 
@@ -474,6 +585,7 @@ pub fn take_trace() -> Trace {
 /// the process-global collector with concurrent tests — filter by trace
 /// id via [`Trace::tree_for`]).
 pub fn trace_snapshot() -> Trace {
+    flush_pending();
     collector().lock().unwrap().clone()
 }
 

@@ -780,6 +780,9 @@ fn scan(args: &[String]) -> Result<(), CliError> {
         "prefilter.candidates",
         "rep.clones",
         "io.retries",
+        "game.sims_computed",
+        "game.sims_memoized",
+        "game.sim_table_fallbacks",
     ] {
         let _ = firmup::telemetry::counter(name);
     }

@@ -136,6 +136,9 @@ pub fn run(cfg: &ServeConfig) -> Result<u8, String> {
             "scan.queries_built",
             "scan.query_records_rejected",
             "scan.errors.query",
+            "game.sims_computed",
+            "game.sims_memoized",
+            "game.sim_table_fallbacks",
         ],
         &["serve.queue_depth"],
         &["serve.request_us", "serve.queue_wait_us"],
